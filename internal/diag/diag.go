@@ -26,11 +26,20 @@
 // queries: SampleIndex caches them (and the deterministic exploration
 // results) so a serving workload pays each node's sampling once per graph
 // epoch instead of once per query.
+//
+// Explorations and chunks share one schedule, with no barrier between
+// them. Workers take the explorations first, largest edge budget first;
+// a chunk needs only its own node's prefix depth ℓ(k), so it waits for
+// that one exploration and sampling overlaps the source node's long one.
+// An exploration never starts a level it cannot afford: each level's edge
+// cost is known before the level runs (see Estimator.explore).
 package diag
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -236,10 +245,12 @@ func (e *Estimator) ImprovedWith(k graph.NodeID, p ImprovedParams) float64 {
 }
 
 // sourceState tracks the non-stop walk distributions (Pᵀ)^a(q,·) of one
-// source q for a = 0..len(levels)-1.
+// source q for a = 0..len(levels)-1, and cost, the in-degree sum over the
+// last level's support: exactly the edges extending q by one level scans.
 type sourceState struct {
 	node   graph.NodeID
 	levels []sparse.Vector
+	cost   int64
 }
 
 // slot returns the srcStates index of source q, creating (and seeding with
@@ -251,12 +262,13 @@ func (e *Estimator) slot(q graph.NodeID) int32 {
 	}
 	s := int32(len(e.srcStates))
 	e.srcSlot[q] = s
+	cost := int64(e.g.InDegree(q))
 	if len(e.srcStates) < cap(e.srcStates) {
 		// Reuse the retired element's level vectors from a prior explore —
 		// in steady state an explore allocates nothing here.
 		e.srcStates = e.srcStates[:s+1]
 		st := &e.srcStates[s]
-		st.node = q
+		st.node, st.cost = q, cost
 		if cap(st.levels) > 0 {
 			st.levels = st.levels[:1]
 			st.levels[0].Idx = append(st.levels[0].Idx[:0], q)
@@ -267,6 +279,7 @@ func (e *Estimator) slot(q graph.NodeID) int32 {
 	e.srcStates = append(e.srcStates[:s], sourceState{
 		node:   q,
 		levels: []sparse.Vector{{Idx: []int32{q}, Val: []float64{1}}},
+		cost:   cost,
 	})
 	return s
 }
@@ -295,16 +308,21 @@ func (e *Estimator) exploreDeterministic(k graph.NodeID, budget int64) (int, flo
 // discovered at depth d (that is, (Pᵀ)^d(k,q') > 0 for some 1 ≤ d < ℓ) has
 // its distributions computed up to level ℓ−d; the Lemma-4 subtraction at
 // level ℓ reads exactly levels ℓ' = ℓ−d of those sources.
+//
+// So level ℓ extends every source by exactly one level — k to ℓ, each node
+// first discovered at depth d to ℓ−d — and its edge cost, the sum of the
+// sources' cost fields, is known before any of it runs. A level that would
+// take the running total to the budget is never started: explore returns
+// the deepest complete level, (ℓ−1, Σ_{ℓ'<ℓ} Z_ℓ'), at once.
 func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, float64) {
 	g := e.g
 	inOff, inAdj := g.InCSR()
 	var edges int64
 	defer e.resetSources()
 
-	// extend computes one more level for the source in slot si. It returns
-	// false as soon as the edge budget trips; the partially accumulated
-	// level is discarded by the callers (they abort the whole exploration).
-	extend := func(si int32) bool {
+	// extend computes one more level for the source in slot si and its
+	// cost. The caller has already charged the edges it scans.
+	extend := func(si int32) {
 		st := &e.srcStates[si]
 		last := &st.levels[len(st.levels)-1]
 		for i, x := range last.Idx {
@@ -316,11 +334,6 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 			for _, q := range inAdj[lo:hi] {
 				e.acc.Add(q, share)
 			}
-			edges += hi - lo
-			if edges >= budget {
-				e.acc.Reset()
-				return false
-			}
 		}
 		// Build unsorted (first-touch order — deterministic, and nothing
 		// binary-searches these vectors), into the retired vector beyond
@@ -331,8 +344,12 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 		} else {
 			st.levels = append(st.levels, sparse.Vector{})
 		}
-		e.acc.BuildIntoUnsorted(&st.levels[nl], 0)
-		return true
+		next := &st.levels[nl]
+		e.acc.BuildIntoUnsorted(next, 0)
+		st.cost = 0
+		for _, x := range next.Idx {
+			st.cost += inOff[x+1] - inOff[x]
+		}
 	}
 
 	kSlot := e.slot(k)
@@ -344,26 +361,31 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 		if e.stopped() {
 			return ell - 1, zSum
 		}
-		// Grow the from-k distribution to level ell.
-		if len(e.srcStates[kSlot].levels) <= ell {
-			if !extend(kSlot) {
-				return ell - 1, zSum
-			}
+		// Nodes first reached at depth ell−1 become sources from here on.
+		for _, q := range e.srcStates[kSlot].levels[ell-1].Idx {
+			e.slot(q)
 		}
+		var cost int64
+		for i := range e.srcStates {
+			cost += e.srcStates[i].cost
+		}
+		if edges+cost >= budget {
+			return ell - 1, zSum
+		}
+		edges += cost
+		// Grow the from-k distribution to level ell.
+		extend(kSlot)
 		if e.srcStates[kSlot].levels[ell].Len() == 0 {
 			// walk from k dies out entirely (dead ends): Z is complete
 			return ell - 1, zSum
 		}
-		// Ensure discovered sources have the levels the subtraction needs.
-		for d := 1; d < ell; d++ {
-			for i := 0; i < e.srcStates[kSlot].levels[d].Len(); i++ {
-				q := e.srcStates[kSlot].levels[d].Idx[i]
-				si := e.slot(q)
-				for len(e.srcStates[si].levels) <= ell-d {
-					if !extend(si) {
-						return ell - 1, zSum
-					}
-				}
+		// Give the discovered sources the levels the subtraction needs.
+		for si := range e.srcStates {
+			if e.stopped() {
+				return ell - 1, zSum
+			}
+			if int32(si) != kSlot {
+				extend(int32(si))
 			}
 		}
 
@@ -403,9 +425,6 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 			}
 		}
 		zSum += zell.Sum()
-		if edges >= budget {
-			return ell, zSum
-		}
 	}
 	return maxDepth, zSum
 }
@@ -482,12 +501,215 @@ func chunkSeed(seed uint64, node graph.NodeID, chunk int) uint64 {
 	return seed ^ (0x9e3779b97f4a7c15 * (uint64(node) + 1)) ^ (0xbf58476d1ce4e5b9 * uint64(chunk+1))
 }
 
-// reqPlan is Batch's per-request state between phases.
+// reqPlan is one request's state in a Batch run.
 type reqPlan struct {
 	samples int
-	lk      int     // Algorithm-3 prefix depth
-	zSum    float64 // deterministic first-meeting mass
-	direct  bool    // out[i] already final (trivial in-degree cases)
+	direct  bool       // out[i] already final (trivial in-degree cases)
+	ek      exploreKey // normalized Algorithm-3 exploration parameters
+	// explored is released once lk and zSum are final. The request's
+	// sample chunks wait on it; in Algorithm-2 mode it is never held.
+	explored sync.WaitGroup
+	lk       int     // Algorithm-3 prefix depth
+	zSum     float64 // deterministic first-meeting mass
+}
+
+// chunkRef is one sample chunk of request req: the walk pairs from
+// chunk·chunkSamples on, samples of them.
+type chunkRef struct {
+	req     int32
+	chunk   int32
+	samples int32
+}
+
+// batch is one BatchCtx run. Every work unit is listed before any runs:
+// the explorations, then the sample chunks.
+type batch struct {
+	reqs []Request
+	opt  Options
+	ix   *SampleIndex
+	stop atomic.Bool
+
+	out      []float64
+	plans    []reqPlan
+	explores []int32      // requests to explore, largest edge budget first
+	chunks   []chunkRef   // chunks of the requests explored last come first
+	meets    []int64      // per chunk
+	next     atomic.Int64 // the next unit to take: explores, then chunks
+}
+
+// newBatch plans a run: the trivial in-degree answers, each exploration's
+// normalized parameters, and the chunk list. Chunk boundaries are a pure
+// function of the requests (chunkSamples is a constant), never of the
+// worker count.
+func newBatch(g *graph.Graph, reqs []Request, opt Options) *batch {
+	b := &batch{
+		reqs:  reqs,
+		opt:   opt,
+		out:   make([]float64, len(reqs)),
+		plans: make([]reqPlan, len(reqs)),
+	}
+	for i, req := range reqs {
+		p := &b.plans[i]
+		p.samples = max(req.Samples, 1)
+		if !opt.Improved {
+			continue
+		}
+		switch g.InDegree(req.Node) {
+		case 0:
+			b.out[i], p.direct = 1, true
+		case 1:
+			b.out[i], p.direct = 1-opt.C, true
+		default:
+			ip := ImprovedParams{
+				Samples:     p.samples,
+				TargetDepth: req.TargetDepth,
+				EdgeBudget:  req.EdgeBudget,
+			}
+			ip.normalize(opt.C)
+			p.ek = exploreKey{node: req.Node, depth: int32(ip.TargetDepth), budget: ip.EdgeBudget}
+			p.explored.Add(1)
+			b.explores = append(b.explores, int32(i))
+		}
+	}
+	// The largest budgets start first, so the longest explorations overlap
+	// the most sampling. Their chunks go last: a worker that reaches a
+	// chunk whose node is still being explored waits for it.
+	slices.SortStableFunc(b.explores, func(x, y int32) int {
+		return cmp.Compare(b.plans[y].ek.budget, b.plans[x].ek.budget)
+	})
+	addChunks := func(i int32) {
+		for c, left := 0, b.plans[i].samples; left > 0; c++ {
+			cs := min(left, chunkSamples)
+			b.chunks = append(b.chunks, chunkRef{req: i, chunk: int32(c), samples: int32(cs)})
+			left -= cs
+		}
+	}
+	if opt.Improved {
+		for j := len(b.explores) - 1; j >= 0; j-- {
+			addChunks(b.explores[j])
+		}
+	} else {
+		for i := range reqs {
+			addChunks(int32(i))
+		}
+	}
+	b.meets = make([]int64, len(b.chunks))
+	return b
+}
+
+// run drains the schedule across the estimators, one worker each.
+func (b *batch) run(ests []*Estimator) {
+	if len(ests) == 1 || len(b.explores)+len(b.chunks) <= 1 {
+		b.work(ests[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, e := range ests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.work(e)
+		}()
+	}
+	wg.Wait()
+}
+
+// work takes units in schedule order until none are left or the run is
+// cancelled. Every exploration is taken before any chunk, so a chunk only
+// ever waits for an exploration some worker is already running.
+func (b *batch) work(e *Estimator) {
+	for !b.stop.Load() {
+		u := int(b.next.Add(1) - 1)
+		switch {
+		case u < len(b.explores):
+			b.explore(e, int(b.explores[u]))
+		case u < len(b.explores)+len(b.chunks):
+			b.sample(e, u-len(b.explores))
+		default:
+			return
+		}
+	}
+}
+
+// explore runs (or looks up) request i's deterministic exploration.
+func (b *batch) explore(e *Estimator, i int) {
+	p := &b.plans[i]
+	defer p.explored.Done()
+	// The exploration is a pure function of the normalized key, so a cached
+	// result is the bit-identical value recomputation would produce. A run
+	// cancelled mid-explore returns a truncated (lk, zSum) — never cached;
+	// the whole Batch output is discarded on cancellation anyway.
+	if b.ix != nil {
+		if v, ok := b.ix.exploreResult(p.ek); ok {
+			p.lk, p.zSum = v.lk, v.zSum
+			return
+		}
+	}
+	p.lk, p.zSum = e.explore(p.ek.node, p.ek.budget, int(p.ek.depth))
+	if b.ix != nil && !e.stopped() {
+		b.ix.putExplore(p.ek, exploreVal{lk: p.lk, zSum: p.zSum})
+	}
+}
+
+// sample runs (or looks up) chunk ci's meet count once its node's prefix
+// depth is known.
+func (b *batch) sample(e *Estimator, ci int) {
+	ch := b.chunks[ci]
+	p := &b.plans[ch.req]
+	p.explored.Wait()
+	if e.stopped() {
+		return // the exploration was abandoned; so is the run
+	}
+	node := b.reqs[ch.req].Node
+	// The key carries no Improved/Basic bit: at lk=0 the two modes
+	// draw the identical stream (a zero-length non-stop prefix
+	// consumes no RNG draws), so their chunk values are
+	// interchangeable and an index shared across exactsim and
+	// exactsim-basic queriers stays exact. TestTailMeetsZeroPrefixIsPairMeets
+	// pins that identity against drift in the walk engine.
+	key := chunkKey{node: node, lk: int32(p.lk), chunk: ch.chunk, size: ch.samples}
+	if b.ix != nil {
+		if m, ok := b.ix.chunkMeets(key); ok {
+			b.meets[ci] = m
+			return
+		}
+	}
+	e.Reseed(chunkSeed(b.opt.Seed, node, int(ch.chunk)))
+	var m int64
+	if b.opt.Improved {
+		m = e.tailMeets(node, p.lk, int(ch.samples))
+	} else {
+		m = e.pairMeets(node, int(ch.samples))
+	}
+	b.meets[ci] = m
+	// A chunk interrupted mid-loop holds a partial count; the stop
+	// flag is monotone, so a false read here proves the loop ran to
+	// completion and the count is the chunk's true value.
+	if b.ix != nil && !e.stopped() {
+		b.ix.putChunk(key, m)
+	}
+}
+
+// merge applies the estimator formula once per node. It is exact: chunk
+// meet counts are integers, so summation order cannot perturb the result.
+func (b *batch) merge() []float64 {
+	totals := make([]int64, len(b.reqs))
+	for ci, ch := range b.chunks {
+		totals[ch.req] += b.meets[ci]
+	}
+	cPow := cPowTable(b.opt.C)
+	for i := range b.plans {
+		p := &b.plans[i]
+		if p.direct {
+			continue
+		}
+		if b.opt.Improved {
+			b.out[i] = finishImproved(b.opt.C, cPow[p.lk], p.zSum, totals[i], p.samples)
+		} else {
+			b.out[i] = float64(int64(p.samples)-totals[i]) / float64(p.samples)
+		}
+	}
+	return b.out
 }
 
 // Batch estimates D(k,k) for every request. Each sample chunk runs on its
@@ -508,43 +730,33 @@ func Batch(g *graph.Graph, reqs []Request, opt Options) []float64 {
 // few thousand walk pairs. On cancellation the partial output is discarded
 // and ctx.Err() returned.
 //
-// The run has three phases. Phase 1 parallelizes over requests: trivial
-// in-degree answers and (Improved mode) the deterministic exploration,
-// which uses no randomness. Phase 2 parallelizes over fixed-size sample
+// The run is one schedule, listed in full before any of it runs: sample
+// counts come from the requests, and the trivial in-degree answers need no
+// exploration. Workers first take the Algorithm-3 explorations, which use
+// no randomness, largest edge budget first; then the fixed-size sample
 // chunks — the fat-request remedy: the source node's R(k) dwarfs the
-// median allowance, and whole-request scheduling would serialize the whole
-// phase behind it. Phase 3 merges integer meet counts per request
-// (addition of int64s — exact, order-free) and applies the estimator
-// formula once per node.
+// median allowance, and whole-request scheduling would serialize sampling
+// behind it. A chunk needs nothing from its node's exploration but the
+// prefix depth ℓ(k), so it waits for that one exploration (which stops
+// early on cancellation) and for nothing else; the chunks of the requests
+// explored first, which finish last, are taken last. Once every unit is
+// done, integer meet counts merge per request (addition of int64s — exact,
+// order-free) and the estimator formula runs once per node.
 func BatchCtx(ctx context.Context, g *graph.Graph, reqs []Request, opt Options) ([]float64, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	var stop atomic.Bool
-	if ctx.Done() != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			// A race between cancellation and normal completion only
-			// decides whether workers abandon in-flight chunks; their
-			// partial results are discarded once BatchCtx sees ctx.Err().
-			//lint:nondeterministic-ok cancellation watcher; losing the race only abandons work, results are discarded on ctx.Err()
-			select {
-			case <-ctx.Done():
-				stop.Store(true)
-			case <-watchDone:
-			}
-		}()
-	}
+	workers := max(opt.Workers, 1)
+	b := newBatch(g, reqs, opt)
+	// A race between cancellation and completion only decides whether
+	// workers abandon in-flight units; their partial results are
+	// discarded once BatchCtx sees ctx.Err().
+	unwatch := context.AfterFunc(ctx, func() { b.stop.Store(true) })
+	defer unwatch()
 
 	pool := opt.Pool
 	if pool != nil && (pool.g != g || pool.c != opt.C) {
 		pool = nil
 	}
-	ix := opt.Index
-	if ix != nil && !ix.bind(g, opt.C, opt.Seed) {
-		ix = nil
+	if opt.Index != nil && opt.Index.bind(g, opt.C, opt.Seed) {
+		b.ix = opt.Index
 	}
 	ests := make([]*Estimator, workers)
 	for i := range ests {
@@ -553,7 +765,7 @@ func BatchCtx(ctx context.Context, g *graph.Graph, reqs []Request, opt Options) 
 		} else {
 			ests[i] = NewEstimator(g, opt.C, opt.Seed+uint64(i))
 		}
-		ests[i].SetStop(&stop)
+		ests[i].SetStop(&b.stop)
 	}
 	if pool != nil {
 		defer func() {
@@ -562,158 +774,11 @@ func BatchCtx(ctx context.Context, g *graph.Graph, reqs []Request, opt Options) 
 			}
 		}()
 	}
-	// runParallel drains unit indices [0, count) across the worker pool.
-	runParallel := func(count int, unit func(e *Estimator, i int)) {
-		var next int64
-		work := func(e *Estimator) {
-			for !stop.Load() {
-				i := int(atomic.AddInt64(&next, 1) - 1)
-				if i >= count {
-					return
-				}
-				unit(e, i)
-			}
-		}
-		if workers == 1 || count <= 1 {
-			work(ests[0])
-			return
-		}
-		var wg sync.WaitGroup
-		for _, e := range ests {
-			wg.Add(1)
-			go func(e *Estimator) {
-				defer wg.Done()
-				work(e)
-			}(e)
-		}
-		wg.Wait()
-	}
-
-	out := make([]float64, len(reqs))
-	plans := make([]reqPlan, len(reqs))
-
-	// Phase 1: per-request deterministic work (no RNG involved).
-	runParallel(len(reqs), func(e *Estimator, i int) {
-		req := reqs[i]
-		p := &plans[i]
-		p.samples = req.Samples
-		if p.samples <= 0 {
-			p.samples = 1
-		}
-		if !opt.Improved {
-			return
-		}
-		switch g.InDegree(req.Node) {
-		case 0:
-			out[i], p.direct = 1, true
-		case 1:
-			out[i], p.direct = 1-opt.C, true
-		default:
-			ip := ImprovedParams{
-				Samples:     p.samples,
-				TargetDepth: req.TargetDepth,
-				EdgeBudget:  req.EdgeBudget,
-			}
-			ip.normalize(opt.C)
-			// The exploration is a pure function of the normalized key, so
-			// a cached result is the bit-identical value recomputation
-			// would produce. A run cancelled mid-explore returns a
-			// truncated (lk, zSum) — never cached; the whole Batch output
-			// is discarded on cancellation anyway.
-			ek := exploreKey{node: req.Node, depth: int32(ip.TargetDepth), budget: ip.EdgeBudget}
-			if ix != nil {
-				if v, ok := ix.exploreResult(ek); ok {
-					p.lk, p.zSum = v.lk, v.zSum
-					return
-				}
-			}
-			p.lk, p.zSum = e.explore(req.Node, ip.EdgeBudget, ip.TargetDepth)
-			if ix != nil && !e.stopped() {
-				ix.putExplore(ek, exploreVal{lk: p.lk, zSum: p.zSum})
-			}
-		}
-	})
+	b.run(ests)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Phase 2: sample chunks. Boundaries are a pure function of the
-	// requests (chunkSamples is a constant), never of the worker count.
-	type chunkRef struct {
-		req     int32
-		chunk   int32
-		samples int32
-	}
-	var chunks []chunkRef
-	for i := range plans {
-		if plans[i].direct {
-			continue
-		}
-		for c, left := 0, plans[i].samples; left > 0; c++ {
-			cs := left
-			if cs > chunkSamples {
-				cs = chunkSamples
-			}
-			chunks = append(chunks, chunkRef{req: int32(i), chunk: int32(c), samples: int32(cs)})
-			left -= cs
-		}
-	}
-	meets := make([]int64, len(chunks))
-	runParallel(len(chunks), func(e *Estimator, ci int) {
-		ch := chunks[ci]
-		node := reqs[ch.req].Node
-		lk := plans[ch.req].lk // 0 in Algorithm-2 mode
-		// The key carries no Improved/Basic bit: at lk=0 the two modes
-		// draw the identical stream (a zero-length non-stop prefix
-		// consumes no RNG draws), so their chunk values are
-		// interchangeable and an index shared across exactsim and
-		// exactsim-basic queriers stays exact. TestTailMeetsZeroPrefixIsPairMeets
-		// pins that identity against drift in the walk engine.
-		key := chunkKey{node: node, lk: int32(lk), chunk: ch.chunk, size: ch.samples}
-		if ix != nil {
-			if m, ok := ix.chunkMeets(key); ok {
-				meets[ci] = m
-				return
-			}
-		}
-		e.Reseed(chunkSeed(opt.Seed, node, int(ch.chunk)))
-		var m int64
-		if opt.Improved {
-			m = e.tailMeets(node, lk, int(ch.samples))
-		} else {
-			m = e.pairMeets(node, int(ch.samples))
-		}
-		meets[ci] = m
-		// A chunk interrupted mid-loop holds a partial count; the stop
-		// flag is monotone, so a false read here proves the loop ran to
-		// completion and the count is the chunk's true value.
-		if ix != nil && !e.stopped() {
-			ix.putChunk(key, m)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: exact merge — chunk meet counts are integers, so summation
-	// order cannot perturb the result.
-	totals := make([]int64, len(reqs))
-	for ci, ch := range chunks {
-		totals[ch.req] += meets[ci]
-	}
-	cPow := cPowTable(opt.C)
-	for i := range reqs {
-		p := &plans[i]
-		if p.direct {
-			continue
-		}
-		if opt.Improved {
-			out[i] = finishImproved(opt.C, cPow[p.lk], p.zSum, totals[i], p.samples)
-		} else {
-			out[i] = float64(int64(p.samples)-totals[i]) / float64(p.samples)
-		}
-	}
-	return out, nil
+	return b.merge(), nil
 }
 
 // ExactByIteration computes D exactly by value iteration on the pair chain

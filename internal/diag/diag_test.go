@@ -1,9 +1,13 @@
 package diag
 
 import (
+	"context"
+	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/exactsim/exactsim/internal/gen"
 	"github.com/exactsim/exactsim/internal/graph"
@@ -235,10 +239,19 @@ func TestBatchFatRequestSerialParallelIdentical(t *testing.T) {
 	// must keep the result bit-identical across worker counts (this is the
 	// regime the chunking exists for — the source node's R(k)).
 	g := gen.BarabasiAlbert(300, 4, 7)
+	// The capped request is built the way core builds a source whose
+	// sample allowance hit the cap: a target depth plus the 1<<22 edge
+	// budget, which trips first. Its exploration is by far the slowest, so
+	// with several workers its chunks wait for it.
+	capped := Request{Node: 2, Samples: 2*chunkSamples + 5, TargetDepth: 16, EdgeBudget: 1 << 22}
+	if lk, _ := NewEstimator(g, c, 1).explore(capped.Node, capped.EdgeBudget, capped.TargetDepth); lk >= capped.TargetDepth {
+		t.Fatalf("capped request reaches its target depth %d; the budget must trip first", lk)
+	}
 	reqs := []Request{
 		{Node: 0, Samples: 3*chunkSamples + 17},
 		{Node: 5, Samples: 10},
 		{Node: 9, Samples: chunkSamples}, // exactly one chunk
+		capped,
 	}
 	for _, improved := range []bool{false, true} {
 		serial := Batch(g, reqs, Options{C: c, Improved: improved, Workers: 1, Seed: 9})
@@ -251,6 +264,101 @@ func TestBatchFatRequestSerialParallelIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// goroutineStacks returns the stack of every goroutine, one per element.
+func goroutineStacks() []string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Split(string(buf[:n]), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// stackWith reports whether one goroutine's stack holds every frame named.
+func stackWith(stacks []string, frames ...string) bool {
+	for _, s := range stacks {
+		all := true
+		for _, f := range frames {
+			all = all && strings.Contains(s, f)
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+func TestBatchCtxCancelDuringExploration(t *testing.T) {
+	// Node 0's exploration of a 150-clique to depth 64 takes about a
+	// second; the small requests' units are done in milliseconds, after
+	// which the other workers take node 0's chunks and wait for its
+	// exploration. Cancelling then must stop the exploration, release the
+	// waiting workers, and return.
+	g := gen.Clique(150)
+	reqs := []Request{{Node: 0, Samples: 2 * chunkSamples, TargetDepth: maxDeterministicLevels, EdgeBudget: 1 << 40}}
+	for i := int32(1); i <= 6; i++ {
+		reqs = append(reqs, Request{Node: i, Samples: 100})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		out    []float64
+		err    error
+		stacks []string // every goroutine, as BatchCtx returned
+	}
+	done := make(chan result, 1)
+	go func() {
+		// Through a pool, a worker that outlived BatchCtx would also lose
+		// its stop flag when its estimator is handed back, and run on.
+		opt := Options{C: c, Improved: true, Workers: 3, Seed: 4, Pool: NewEstimatorPool(g, c)}
+		out, err := BatchCtx(ctx, g, reqs, opt)
+		done <- result{out, err, goroutineStacks()}
+	}()
+
+	const (
+		explore = "diag.(*Estimator).explore("
+		wait    = "sync.(*WaitGroup).Wait("
+		sample  = "diag.(*batch).sample("
+		worker  = "diag.(*batch).work("
+	)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		stacks := goroutineStacks()
+		if stackWith(stacks, explore) && stackWith(stacks, wait, sample) {
+			break
+		}
+		select {
+		case r := <-done:
+			t.Fatalf("BatchCtx returned (err %v) before a chunk waited on the exploration", r.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no chunk ever waited on the exploration")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cancel()
+	start := time.Now()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("BatchCtx did not return after cancellation")
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("BatchCtx took %v to return after cancellation", took)
+	}
+	if !errors.Is(r.err, context.Canceled) || r.out != nil {
+		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", r.out, r.err)
+	}
+	if stackWith(r.stacks, worker) {
+		t.Fatal("a worker outlived BatchCtx")
 	}
 }
 
@@ -325,6 +433,22 @@ func benchBatchReqs(g *graph.Graph) []Request {
 func BenchmarkDiagBatch(b *testing.B) {
 	g := gen.BarabasiAlbert(10000, 5, 1)
 	reqs := benchBatchReqs(g)
+	workers := runtime.GOMAXPROCS(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Batch(g, reqs, Options{C: c, Improved: true, Workers: workers, Seed: 1})
+	}
+}
+
+// BenchmarkDiagBatchCapped is BenchmarkDiagBatch with the fat request
+// built as core builds a capped source: a target depth and the 1<<22 edge
+// budget, which trips at level 3 here. It measures what the uncapped
+// variant cannot: the cost of the level that overflows the budget, and
+// whether sampling overlaps the source's exploration.
+func BenchmarkDiagBatchCapped(b *testing.B) {
+	g := gen.BarabasiAlbert(10000, 5, 1)
+	reqs := benchBatchReqs(g)
+	reqs[0].TargetDepth, reqs[0].EdgeBudget = 7, 1<<22
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

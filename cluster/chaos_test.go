@@ -1,11 +1,14 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,12 +301,14 @@ func TestFleetPanicContainment(t *testing.T) {
 	}
 }
 
-// TestRouterMalformedBackendResponse is satellite 4: a backend whose
+// TestRouterMalformedBackendResponse: a backend whose
 // query responses are wire-garbage — non-JSON bytes or a truncated JSON
 // prefix, both with status 200 — must read as a retryable transport
 // error. The router reroutes to the intact replica and the caller never
-// sees a failure; pointing a raw no-retry client at the garbling
-// backend yields an error, not a parse panic or a half-decoded answer.
+// sees a failure, whether it calls the router in process or through the
+// front door, which relays answer bytes; pointing a raw no-retry client
+// at the garbling backend yields an error, not a parse panic or a
+// half-decoded answer.
 func TestRouterMalformedBackendResponse(t *testing.T) {
 	g := exactsim.GenerateBarabasiAlbert(200, 3, 37)
 	svcOpts := exactsim.ServiceOptions{
@@ -334,6 +339,68 @@ func TestRouterMalformedBackendResponse(t *testing.T) {
 	}
 	if st := r.Stats(); st.Retries == 0 {
 		t.Fatal("no retries recorded — the garbling backend was never even tried")
+	}
+
+	// The front door relays a replica's answer bytes without decoding
+	// them. A client that never retries still gets every source, bit for
+	// bit, while one replica garbles its 200s: the router's scan caught
+	// each garbled body, retried on the sibling and relayed nothing of it.
+	front := httptest.NewServer(cluster.NewServer(r, cluster.ServerOptions{}))
+	defer front.Close()
+	fc, err := httpapi.NewClient(front.URL, httpapi.WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retries := r.Stats().Retries
+	for mode := int32(1); mode <= 2; mode++ {
+		members[0].gate.garbleMode.Store(mode)
+		for src := 0; src < 40; src++ {
+			req := exactsim.Request{Source: exactsim.NodeID(src)}
+			resp, err := fc.Query(ctx, req)
+			if err != nil || resp.Err != nil {
+				t.Fatalf("front door, mode %d source %d: garbled backend cost an answer: %v / %v",
+					mode, src, err, resp.Err)
+			}
+			want := members[1].svc.Query(ctx, req)
+			if at, ok := bitEqual(resp.Result.Scores, want.Result.Scores); want.Err != nil || !ok {
+				t.Fatalf("front door, mode %d source %d: answer differs from the intact replica's (index %d)",
+					mode, src, at)
+			}
+		}
+	}
+	members[0].gate.garbleMode.Store(0)
+	if r.Stats().Retries == retries {
+		t.Fatal("no front-door retries recorded — the garbling backend was never even tried")
+	}
+
+	// A relayed answer is the serving replica's body, byte for byte. Each
+	// replica answers the request once to cache it, then again for the
+	// body to compare; replicas differ only in the cached query_time_ns.
+	post := func(url string) []byte {
+		t.Helper()
+		res, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(`{"source":7,"k":3}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s/v1/query: %v, %s: %s", url, err, res.Status, body)
+		}
+		return body
+	}
+	var direct [][]byte
+	for _, m := range members {
+		post(m.url())
+		direct = append(direct, post(m.url()))
+	}
+	relayed := post(front.URL)
+	if !bytes.Equal(relayed, direct[0]) && !bytes.Equal(relayed, direct[1]) {
+		t.Fatalf("front-door body is neither replica's body:\n front: %.200s\n   [0]: %.200s\n   [1]: %.200s",
+			relayed, direct[0], direct[1])
+	}
+	if !bytes.Contains(relayed, []byte(`"cache_hit":true`)) {
+		t.Fatalf("front-door answer was not the cached one: %.200s", relayed)
 	}
 
 	// Raw client, no retries: the garble surfaces as a plain error.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	exactsim "github.com/exactsim/exactsim"
+	"github.com/exactsim/exactsim/httpapi"
 )
 
 // Router fans SimRank queries across a fleet of exactsimd backends. It
@@ -266,23 +267,42 @@ func (r *Router) pick(source exactsim.NodeID, rank int) ([]*backend, error) {
 // error); router-level failures (no capacity, no health) surface as
 // CodeUnavailable, matching what a single saturated replica would say.
 func (r *Router) Query(ctx context.Context, req exactsim.Request) exactsim.Response {
-	r.queries.Add(1)
-	resp := r.route(ctx, req)
-	if resp.Err != nil {
+	body, resp := r.relay(ctx, req)
+	if body == nil {
+		return resp
+	}
+	if err := httpapi.DecodeResponse(body, &resp); err != nil {
+		// The attempt's scan passed, so the body is well-formed JSON that
+		// does not fit the answer's types; another replica would send the
+		// same bytes.
 		r.errors.Add(1)
+		return exactsim.Response{Request: req,
+			Err: exactsim.Errorf(exactsim.CodeUnavailable, "cluster: undecodable answer: %v", err)}
 	}
 	return resp
 }
 
-func (r *Router) route(ctx context.Context, req exactsim.Request) exactsim.Response {
+// relay answers one request through the fleet without decoding the
+// answer: a success comes back as the replica's 200 body, verbatim, and
+// anything else as a nil body and the error Response.
+func (r *Router) relay(ctx context.Context, req exactsim.Request) ([]byte, exactsim.Response) {
+	r.queries.Add(1)
+	res := r.route(ctx, req)
+	if res.resp.Err != nil {
+		r.errors.Add(1)
+	}
+	return res.body, res.resp
+}
+
+func (r *Router) route(ctx context.Context, req exactsim.Request) tryResult {
 	// Expired on arrival: a query whose deadline is already gone must
 	// not spend a candidate walk, let alone wire attempts.
 	if err := ctx.Err(); err != nil {
-		return exactsim.Response{Request: req, Err: exactsim.ToError(err)}
+		return tryResult{resp: exactsim.Response{Request: req, Err: exactsim.ToError(err)}}
 	}
 	cands, err := r.pick(req.Source, priorityRank(req.Priority))
 	if err != nil {
-		return exactsim.Response{Request: req, Err: r.pickError(err)}
+		return tryResult{resp: exactsim.Response{Request: req, Err: r.pickError(err)}}
 	}
 	if len(cands) > r.opts.MaxAttempts {
 		cands = cands[:r.opts.MaxAttempts]
@@ -306,8 +326,11 @@ func (r *Router) pickError(err error) *exactsim.Error {
 	return e
 }
 
-// tryResult is one replica attempt's outcome.
+// tryResult is one replica attempt's outcome: a success as the replica's
+// 200 body (the streaming path decodes it into resp instead), anything
+// else as the error Response.
 type tryResult struct {
+	body      []byte
 	resp      exactsim.Response
 	retryable bool
 	hedge     bool // launched by the hedge timer
@@ -320,7 +343,7 @@ type tryResult struct {
 // answer. Losing attempts are cancelled. Replica determinism is what
 // makes taking "whichever answered first" sound: both would have
 // returned bit-identical scores.
-func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Request) exactsim.Response {
+func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Request) tryResult {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -351,11 +374,11 @@ func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Reques
 		}
 	}
 
-	var last exactsim.Response
+	var last tryResult
 	for {
 		select {
 		case <-ctx.Done():
-			return exactsim.Response{Request: req, Err: exactsim.ToError(ctx.Err())}
+			return tryResult{resp: exactsim.Response{Request: req, Err: exactsim.ToError(ctx.Err())}}
 		case <-hedgeC:
 			hedgeC = nil
 			// The timer only says this attempt is a straggler; the budget
@@ -380,9 +403,9 @@ func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Reques
 						r.hedgeBudget.earn()
 					}
 				}
-				return res.resp
+				return res
 			}
-			last = res.resp
+			last = res
 			// A failed attempt immediately claims the next candidate —
 			// no reason to wait for the hedge timer to do it.
 			if launch(false) {
@@ -418,11 +441,12 @@ func (r *Router) tryOne(ctx context.Context, b *backend, req exactsim.Request, h
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	start := time.Now()
-	resp, err := b.client.Query(ctx, req)
+	body, resp, err := b.client.QueryBody(ctx, req)
 	lat := time.Since(start)
 	if err != nil {
-		// Transport failure (dial refused, connection cut mid-body, or
-		// our own cancellation when another attempt already won).
+		// Transport failure (dial refused, connection cut mid-body, a
+		// 200 body that fails the JSON scan, or our own cancellation when
+		// another attempt already won).
 		if r.opts.breakerEnabled() && ctx.Err() == nil {
 			b.brk.result(false, r.opts.BreakerThreshold, time.Now())
 		}
@@ -434,15 +458,15 @@ func (r *Router) tryOne(ctx context.Context, b *backend, req exactsim.Request, h
 			latency:   lat,
 		}
 	}
-	// Any decoded protocol response — success or error — proves the
-	// transport works.
+	// Any intact protocol response — a scanned success body or a decoded
+	// error — proves the transport works.
 	if r.opts.breakerEnabled() {
 		b.brk.result(true, r.opts.BreakerThreshold, time.Now())
 	}
 	if resp.Err != nil && retryableCode(resp.Err.Code) && ctx.Err() == nil {
 		return tryResult{resp: resp, retryable: true, hedge: hedge, latency: lat}
 	}
-	return tryResult{resp: resp, hedge: hedge, latency: lat}
+	return tryResult{body: body, resp: resp, hedge: hedge, latency: lat}
 }
 
 // retryableCode reports whether another replica could plausibly answer

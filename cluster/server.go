@@ -105,8 +105,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, httpapi.StatusOf(e), exactsim.Response{Request: qr.Body, Err: e})
 		return
 	}
-	resp := s.router.Query(ctx, qr.Body)
-	writeJSON(w, httpapi.StatusOf(resp.Err), resp)
+	// A success is relayed as the replica wrote it, so the answer crosses
+	// this hop without a decode or a re-encode.
+	body, resp := s.router.relay(ctx, qr.Body)
+	if body == nil {
+		writeJSON(w, httpapi.StatusOf(resp.Err), resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // handleQueryStream forwards one query as an NDJSON refinement stream

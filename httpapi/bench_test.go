@@ -1,7 +1,9 @@
 package httpapi_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -79,4 +81,52 @@ func BenchmarkHTTPLoopbackBatch(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkResponseWire is the answer path's per-hop work on one
+// 100k-entry answer (~2.2 MB of JSON, a full single-source vector on the
+// DB stand-in): encode and decode with the answer codec and with
+// encoding/json, and the relay's syntax check against json.Valid.
+func BenchmarkResponseWire(b *testing.B) {
+	resp := sampleAnswer(100_000)
+	data, err := httpapi.AppendResponse(nil, &resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(name string, op func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	var buf []byte
+	run("encode/codec", func() (err error) {
+		buf, err = httpapi.AppendResponse(buf[:0], &resp)
+		return err
+	})
+	var std bytes.Buffer
+	run("encode/encoding-json", func() error {
+		std.Reset()
+		return json.NewEncoder(&std).Encode(resp)
+	})
+	run("decode/codec", func() error {
+		var out exactsim.Response
+		return httpapi.DecodeResponse(data, &out)
+	})
+	run("decode/encoding-json", func() error {
+		var out exactsim.Response
+		return json.Unmarshal(data, &out)
+	})
+	run("scan/codec", func() error { return httpapi.ScanResponse(data) })
+	run("scan/encoding-json", func() error {
+		if !json.Valid(data) {
+			b.Fatal("invalid answer")
+		}
+		return nil
+	})
 }

@@ -303,22 +303,50 @@ func (c *Client) Query(ctx context.Context, req exactsim.Request) (exactsim.Resp
 	qr := QueryRequest{Body: req, TimeoutMillis: timeoutMillis(ctx)}
 	var resp exactsim.Response
 	if err := c.post(ctx, "/v1/query", &qr, &resp); err != nil {
-		// A protocol error (non-2xx with a {code, message} envelope)
-		// belongs in Response.Err, same as a local Service would report
-		// it; only transport failures surface as Query's own error.
-		var pe *exactsim.Error
-		if errors.As(err, &pe) {
-			if resp.Err == nil {
-				resp.Err = pe
-			}
-			if resp.Request == (exactsim.Request{}) {
-				resp.Request = req
-			}
-			return resp, nil
-		}
-		return exactsim.Response{Request: req}, err
+		return queryFailure(req, resp, err)
 	}
 	return resp, nil
+}
+
+// QueryBody is Query for a relay, which forwards an answer it need not
+// read. A 2xx answer comes back as its body, checked to be one
+// well-formed JSON object but not decoded, with a zero Response: a 2xx
+// answer carries no error (see StatusOf). Anything else comes back with a
+// nil body, exactly as Query reports it: a protocol error in
+// Response.Err, a transport failure as the error.
+func (c *Client) QueryBody(ctx context.Context, req exactsim.Request) ([]byte, exactsim.Response, error) {
+	qr := QueryRequest{Body: req, TimeoutMillis: timeoutMillis(ctx)}
+	var out relayBody
+	if err := c.post(ctx, "/v1/query", &qr, &out); err != nil {
+		resp, err := queryFailure(req, out.resp, err)
+		return nil, resp, err
+	}
+	return out.body, exactsim.Response{}, nil
+}
+
+// relayBody is QueryBody's decoding target: the checked 2xx body, or the
+// decoded envelope of a non-2xx answer.
+type relayBody struct {
+	body []byte
+	resp exactsim.Response
+}
+
+// queryFailure sorts a failed /v1/query exchange: a protocol error
+// (non-2xx with a {code, message} envelope) belongs in Response.Err, same
+// as a local Service would report it; only transport failures surface as
+// the error.
+func queryFailure(req exactsim.Request, resp exactsim.Response, err error) (exactsim.Response, error) {
+	var pe *exactsim.Error
+	if errors.As(err, &pe) {
+		if resp.Err == nil {
+			resp.Err = pe
+		}
+		if resp.Request == (exactsim.Request{}) {
+			resp.Request = req
+		}
+		return resp, nil
+	}
+	return exactsim.Response{Request: req}, err
 }
 
 // Batch sends many requests in one round trip; responses align with
@@ -526,6 +554,11 @@ func (c *Client) Ready(ctx context.Context) error {
 	return nil
 }
 
+// readBuffers recycles response-body buffers: a /v1/query answer is
+// megabytes, and growing a fresh buffer to that size, one reallocation
+// and copy after another, costs more than the relay's scan of it.
+var readBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // drainClose consumes what remains of a response body (bounded) before
 // closing it. An undrained body forces net/http to tear the connection
 // down instead of returning it to the pool — under fleet fan-out that
@@ -683,28 +716,50 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 // status with a protocol {code, message} envelope is returned as the
 // *exactsim.Error it carries (after also decoding the envelope into out,
 // which for /v1/query is the same Response); anything else non-2xx, or a
-// 2xx body that is not the protocol's JSON, is a transport error.
+// 2xx body that is not the protocol's JSON, is a transport error. A 2xx
+// /v1/query answer decodes through the answer codec, or for a relay is
+// only checked.
 func (c *Client) do(req *http.Request, out any) error {
 	res, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer res.Body.Close()
-	data, err := io.ReadAll(res.Body)
-	if err != nil {
+	buf := readBuffers.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		readBuffers.Put(buf)
+	}()
+	if _, err := buf.ReadFrom(res.Body); err != nil {
 		return fmt.Errorf("httpapi: reading %s %s response: %w", req.Method, req.URL.Path, err)
 	}
+	// Every decoder below copies what it keeps; only a relayed body is
+	// kept as bytes, and it is cloned out of the pooled buffer.
+	data := buf.Bytes()
 	if res.StatusCode < 200 || res.StatusCode >= 300 {
 		var env struct {
 			Err *exactsim.Error `json:"error"`
 		}
 		if json.Unmarshal(data, &env) == nil && env.Err != nil {
+			if rb, ok := out.(*relayBody); ok {
+				out = &rb.resp
+			}
 			json.Unmarshal(data, out)
 			return env.Err
 		}
 		return fmt.Errorf("httpapi: %s %s returned %s", req.Method, req.URL.Path, res.Status)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	switch o := out.(type) {
+	case *exactsim.Response:
+		err = DecodeResponse(data, o)
+	case *relayBody:
+		if err = scanResponse(data); err == nil {
+			o.body = bytes.Clone(data)
+		}
+	default:
+		err = json.Unmarshal(data, out)
+	}
+	if err != nil {
 		return fmt.Errorf("httpapi: %s %s returned %s with undecodable body: %v",
 			req.Method, req.URL.Path, res.Status, err)
 	}

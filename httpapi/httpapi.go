@@ -87,7 +87,9 @@ func (e Envelope[T]) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON reads the flat object into Body and extracts the
-// transport-only "timeout_ms" (which Body, not declaring it, ignores).
+// transport-only "timeout_ms" (which Body, not declaring it, ignores). A
+// negative timeout reads as 0, which is what the server makes of it
+// ("none") and what MarshalJSON can write back.
 func (e *Envelope[T]) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &e.Body); err != nil {
 		return err
@@ -98,7 +100,7 @@ func (e *Envelope[T]) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &t); err != nil {
 		return err
 	}
-	e.TimeoutMillis = t.TimeoutMillis
+	e.TimeoutMillis = max(t.TimeoutMillis, 0)
 	return nil
 }
 

@@ -142,7 +142,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := s.svc.Query(ctx, qr.Body)
-	writeJSON(w, StatusOf(resp.Err), resp)
+	writeResponse(w, &resp)
+}
+
+// writeResponse answers one /v1/query through the answer codec, with the
+// bytes writeJSON would write. The header is set before the encoding
+// starts, as writeJSON sets it before encoding: the first touch of w is
+// where a wrapping handler sees the Service's work end.
+func writeResponse(w http.ResponseWriter, resp *exactsim.Response) {
+	w.Header().Set("Content-Type", "application/json")
+	status := StatusOf(resp.Err)
+	buf := encodeBuffers.Get().(*[]byte)
+	b, err := appendResponse((*buf)[:0], resp)
+	if err != nil {
+		// Only a NaN or infinite float fails to encode: answer with a
+		// coded error rather than a 200 without a body.
+		e := exactsim.Errorf(exactsim.CodeInternal, "httpapi: encoding answer: %v", err)
+		status = StatusOf(e)
+		b, _ = appendResponse(b[:0], &exactsim.Response{Err: e})
+	}
+	w.WriteHeader(status)
+	w.Write(b)
+	*buf = b
+	encodeBuffers.Put(buf)
 }
 
 // handleQueryStream answers one query as NDJSON refinement records

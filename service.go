@@ -932,13 +932,16 @@ func (s *Service) shedError(pri Priority) *Error {
 // Batch answers many requests concurrently through the worker pool and
 // returns responses in request order. Each response carries its own Err;
 // Batch itself only fails fast on a closed service or a dead context.
-// Submission is bounded by Workers+QueueDepth in-flight goroutines —
-// exactly what the pool can hold — and stops as soon as ctx ends: the
-// remaining requests are answered in place with the context's error code
-// instead of each paying a goroutine to discover it.
+// Submission is bounded by QueueDepth in-flight goroutines, and stops as
+// soon as ctx ends: the remaining requests are answered in place with the
+// context's error code instead of each paying a goroutine to discover it.
+// The bound is the queue's, not the pool's: a submitter receives its
+// answer, and frees its slot, before the worker that sent the answer is
+// back for the next job, so at times the queue alone holds every
+// submission in flight, and one more would be shed as "queue full".
 func (s *Service) Batch(ctx context.Context, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
-	sem := make(chan struct{}, s.opts.Workers+s.opts.QueueDepth)
+	sem := make(chan struct{}, s.opts.QueueDepth)
 	var wg sync.WaitGroup
 	for i := 0; i < len(reqs); i++ {
 		// The explicit Err check makes a pre-cancelled context

@@ -94,10 +94,7 @@ func main() {
 		snapKeep    = flag.Int("snapshot-keep", 2, "previous snapshot generations kept beside -save-snapshot (path.1 … path.N); a boot that finds the newest corrupt quarantines it and falls back a generation")
 
 		queueTarget = flag.Duration("queue-target", 0, "CoDel sojourn target of the priority queue: queued work dwelling above this for a full window is head-dropped (0 = 5ms default, negative disables age drops)")
-		queueWindow = flag.Duration("queue-window", 0, "CoDel interval and brownout overload horizon (0 = 100ms default)")
-		noBrownout  = flag.Bool("no-brownout", false, "never answer degraded: overloaded AllowDegraded requests are shed like everyone else")
-		brownoutEps = flag.Float64("brownout-max-eps", 0, "cap on brownout epsilon loosening: a degraded answer doubles the request epsilon only up to here (0 = 0.1 default, negative disables loosening)")
-		ladderSpec  = flag.String("degrade-ladder", "", "brownout algorithm downgrade map as 'from=to,from=to' (empty = built-in ladder, 'none' disables algorithm downgrades)")
+		queueWindow = flag.Duration("queue-window", 0, "CoDel interval and overload-signal horizon (0 = 100ms default)")
 		drain       = flag.Duration("drain", 0, "readiness-drain window before shutdown: /readyz answers 503 for this long so routers stop sending traffic before the listener closes")
 
 		faultSpec = flag.String("fault", "", "deterministic fault injection on the clone transport and snapshot writes, e.g. 'reset=0.1,corrupt=0.02,torn=0.01' (see internal/fault)")
@@ -146,24 +143,17 @@ func main() {
 	if *diagIndexMB < 0 {
 		diagBytes = -1
 	}
-	ladder, ladderErr := parseDegradeLadder(*ladderSpec)
-	if ladderErr != nil {
-		log.Fatalf("exactsimd: %v", ladderErr)
-	}
 	svcOpts := exactsim.ServiceOptions{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		CacheSize:          *cacheSize,
-		MaxQueriers:        *maxQueriers,
-		DefaultAlgorithm:   *algorithm,
-		DefaultTimeout:     *timeout,
-		DiagIndexBytes:     diagBytes,
-		QuerierOptions:     qopts,
-		QueueTarget:        *queueTarget,
-		QueueWindow:        *queueWindow,
-		DisableBrownout:    *noBrownout,
-		BrownoutMaxEpsilon: *brownoutEps,
-		DegradeLadder:      ladder,
+		Workers:          *workers,
+		QueueDepth:       *queue,
+		CacheSize:        *cacheSize,
+		MaxQueriers:      *maxQueriers,
+		DefaultAlgorithm: *algorithm,
+		DefaultTimeout:   *timeout,
+		DiagIndexBytes:   diagBytes,
+		QuerierOptions:   qopts,
+		QueueTarget:      *queueTarget,
+		QueueWindow:      *queueWindow,
 	}
 	if inj != nil {
 		svcOpts.SnapshotWriteWrap = func(w io.Writer) io.Writer { return inj.Writer(w) }
@@ -283,32 +273,6 @@ func main() {
 	st := svc.Stats()
 	log.Printf("exactsimd: served %d queries (%d cache hits, %d errors, diag hit rate %.0f%%)",
 		st.Queries, st.CacheHits, st.Errors, 100*st.DiagHitRate)
-}
-
-// parseDegradeLadder resolves -degrade-ladder: "" keeps the built-in
-// ladder (DefaultDegradeLadder via ServiceOptions), "none" disables
-// algorithm downgrades, and "from=to,from=to" builds a custom map
-// (validated against the algorithm registry by NewService).
-func parseDegradeLadder(spec string) (map[string]string, error) {
-	switch spec {
-	case "":
-		return nil, nil
-	case "none":
-		return map[string]string{}, nil
-	}
-	ladder := make(map[string]string)
-	for _, step := range strings.Split(spec, ",") {
-		from, to, ok := strings.Cut(strings.TrimSpace(step), "=")
-		from, to = strings.TrimSpace(from), strings.TrimSpace(to)
-		if !ok || from == "" || to == "" {
-			return nil, fmt.Errorf("-degrade-ladder: bad step %q (want from=to)", step)
-		}
-		if prev, dup := ladder[from]; dup {
-			return nil, fmt.Errorf("-degrade-ladder: %q maps to both %q and %q", from, prev, to)
-		}
-		ladder[from] = to
-	}
-	return ladder, nil
 }
 
 // saveSnapshot writes the current generation to path (atomically,

@@ -102,8 +102,8 @@ func main() {
 
 	// "auto" — the service default when a request names no algorithm —
 	// routes through the adaptive planner: it picks the method from the
-	// graph's shape and the requested (ε, k), and the response's Plan
-	// block records what it chose and why. At defaults the planned answer
+	// graph's shape and the requested ε, and the response's Plan block
+	// records what ran and why. At defaults the planned answer
 	// is bit-identical to asking for the chosen method explicitly.
 	r := svc.Query(context.Background(), exactsim.Request{Algorithm: exactsim.AlgorithmAuto, Source: 3, K: 5})
 	if r.Err != nil {

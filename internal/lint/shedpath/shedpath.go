@@ -1,9 +1,10 @@
 // Package shedpath enforces the overload-answer contract on the serving
-// surface: a function implementing a shed, drop, CoDel, or brownout
+// surface: a function implementing a shed, drop, CoDel, or degradation
 // decision must stamp every Response it builds — a coded
-// *exactsim.Error (the shed/drop case), the Degraded flag (the
-// brownout case), or the Partial flag (the anytime best-so-far case,
-// where a deadline-capped ladder answers with the accuracy it reached).
+// *exactsim.Error (the shed/drop case), the Degraded flag (the case
+// where the plan that ran is cheaper than the one asked for), or the
+// Partial flag (the anytime best-so-far case, where a deadline-capped
+// ladder answers with the accuracy it reached).
 // A bare success-shaped Response escaping an overload path is the worst
 // kind of overload bug: the caller sees a normal answer with no scores
 // and no error, retries nothing, degrades nothing, and the taxonomy
@@ -13,9 +14,11 @@
 // the coded-error package set, any function whose name mentions an
 // overload verb (shed / drop / codel / degrad / brownout,
 // case-insensitive) is an overload path, and every keyed composite
-// literal of a Response-suffixed type it builds must set an Err or
-// Degraded field. Helpers that fill the stamp in later suppress the
-// finding with the //lint:shed-ok directive, justification required.
+// literal of a Response-suffixed type it builds must set an Err,
+// Degraded or Partial field. The Service's one stamping exit,
+// stampDegraded, is named into that vocabulary so it stays in reach.
+// Helpers that fill the stamp in later suppress the finding with the
+// //lint:shed-ok directive, justification required.
 package shedpath
 
 import (
@@ -30,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "shedpath",
 	Doc: "require overload paths to stamp their Responses\n\n" +
 		"In the exactsim, httpapi and cluster packages, functions implementing shed,\n" +
-		"drop, CoDel or brownout decisions must not build a Response that sets none of\n" +
+		"drop, CoDel or degradation decisions must not build a Response that sets none of\n" +
 		"Err, Degraded or Partial: an unstamped answer leaving an overload path loses\n" +
 		"the retryable error taxonomy, the degradation marker and the best-so-far\n" +
 		"marker at once.",

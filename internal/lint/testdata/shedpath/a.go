@@ -54,6 +54,15 @@ func brownoutAnswer(req Request) Response {
 	return Response{Request: req, Degraded: true}
 }
 
+// Near-miss: a stamping exit that marks the Response it is handed and
+// builds none of its own (the shape of the Service's stampDegraded).
+func stampDegraded(resp Response, substituted bool) Response {
+	if substituted {
+		resp.Degraded = true
+	}
+	return resp
+}
+
 // Near-miss: an anytime best-so-far answer — a deadline-capped ladder
 // dropping out with the accuracy it reached — carries the Partial flag.
 func dropToBestSoFar(req Request) Response {

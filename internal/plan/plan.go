@@ -1,24 +1,26 @@
 // Package plan is the adaptive query planner behind Request.Algorithm ==
-// "auto": a per-epoch cost model mapping (epsilon, k, deadline budget,
-// priority, diag-index residency) to a concrete registry method and an
-// effective epsilon, plus the accuracy-tier ladder that anytime serving
+// "auto" and the service's one degradation policy: a per-epoch cost model
+// mapping (epsilon, deadline budget, diag-index residency) to a concrete
+// registry method and an effective epsilon, the ladder every cheaper plan
+// is taken from, and the accuracy-tier ladder that anytime serving
 // refines along.
 //
 // The planner's knowledge splits in two, and the split is the determinism
 // argument (DESIGN §13):
 //
 //   - The STRICT half — requests that opted into neither partial nor
-//     degraded answers — is a pure function of (epsilon, k) and the
+//     degraded answers — is a pure function of epsilon and the
 //     epoch-static graph statistics. Two same-epoch replicas plan such a
 //     request identically, so hedged duplicates still race bit-identical
 //     answers and "auto" at default settings answers byte-for-byte what
 //     the concrete method it reports would have.
 //   - The FLEXIBLE half — requests with AllowPartial or AllowDegraded —
-//     may additionally consult the calibrated cost model (a one-time
-//     microprobe refined online from observed per-query latencies) and
-//     the request's remaining deadline, trading accuracy for meeting the
-//     budget. Those answers are marked (Plan.Reason, Degraded/Partial),
-//     never silently substituted.
+//     may be substituted a cheaper plan by two triggers: the queue's
+//     overload signal (AllowDegraded only) and, for "auto", a remaining
+//     deadline the calibrated cost model (a one-time microprobe refined
+//     online from observed per-query latencies) says the plan will not
+//     meet. Both step down one ladder (Substitute); those answers are
+//     marked (Plan.Reason, Degraded/Partial), never silently substituted.
 //
 // Wall clocks and EWMA state are deliberate here: plan is NOT a kernel
 // package (internal/lint), because its nondeterminism is confined to
@@ -62,7 +64,8 @@ const (
 )
 
 // Reason strings are the enumerated, wire-stable explanations carried in
-// Response.Plan.Reason.
+// Response.Plan.Reason. The first four name a strict choice; the last
+// four name the trigger and the kind of step that substituted it.
 const (
 	ReasonTightEpsilon      = "tight-epsilon"
 	ReasonLargePowerLaw     = "large-power-law"
@@ -70,38 +73,46 @@ const (
 	ReasonSmallGraphDefault = "small-graph-default"
 	ReasonDeadlineDowngrade = "deadline-downgrade"
 	ReasonDeadlineLoosen    = "deadline-loosen"
+	ReasonOverloadDowngrade = "overload-downgrade"
+	ReasonOverloadLoosen    = "overload-loosen"
 )
 
-// maxLoosenEpsilon caps deadline-driven epsilon loosening, mirroring the
-// brownout default: a flexible plan never loosens past this.
+// maxLoosenEpsilon caps epsilon loosening: a step never doubles epsilon
+// past this.
 const maxLoosenEpsilon = 0.1
+
+// downgrades is the method half of the ladder, cheapest last: mc gives
+// up the error bound entirely, which only a flexible request may accept.
+var downgrades = [...]string{"prsim", "probesim", "mc"}
 
 // probeSink receives the microprobe's scan checksum so the compiler
 // cannot elide the timed loop.
 var probeSink atomic.Int64
 
-// Input is one request's planner-relevant shape. Deadline, QueueDwell,
-// DiagResidentBytes and PriorityRank are consulted only when Flexible.
+// Input is one request's planner-relevant shape. Deadline, QueueDwell
+// and DiagResidentBytes are consulted only when Flexible.
 type Input struct {
+	// Algorithm is the requested method; empty asks the planner to
+	// choose one (the service's "auto").
+	Algorithm string
 	// Epsilon is the request's error target; 0 means the service default
 	// (the planner substitutes its base epsilon for decisions but the
 	// caller keeps the 0 sentinel for cache identity).
 	Epsilon float64
-	// K is the top-k ask (0 = full vector); part of the strict input.
-	K int
 	// Deadline is the remaining budget (0 = none).
 	Deadline time.Duration
 	// QueueDwell is the smoothed queue sojourn — time the request will
 	// likely spend waiting before a worker touches it.
 	QueueDwell time.Duration
-	// PriorityRank is the validated priority class rank (0 highest).
-	PriorityRank int
 	// DiagResidentBytes is the diagonal sample index residency for the
 	// current epoch — a warm index discounts ExactSim's estimated cost.
 	DiagResidentBytes int64
-	// Flexible opts this request into cost-model planning (AllowPartial
+	// Flexible opts an "auto" request into deadline fitting (AllowPartial
 	// or AllowDegraded). Strict requests never leave the pure path.
 	Flexible bool
+	// Overloaded is the queue's overload signal, set only for requests
+	// that allow degraded answers: such a request takes one step.
+	Overloaded bool
 }
 
 // Decision is the planner's answer: the concrete method to run and the
@@ -138,9 +149,6 @@ type Planner struct {
 	// adjust is the per-algorithm observed/estimated EWMA correction,
 	// stored as math.Float64bits for lock-free reads on the query path.
 	adjust [len(costModel)]atomic.Uint64
-
-	// autoPlanned counts Plan calls that routed an "auto" request.
-	autoPlanned atomic.Int64
 }
 
 // New builds the planner for one graph generation. Calibration (an O(n)
@@ -215,25 +223,37 @@ func (p *Planner) Stats() graph.Stats {
 	return p.stats
 }
 
-// AutoPlanned returns how many "auto" requests this planner has routed.
-func (p *Planner) AutoPlanned() int64 { return p.autoPlanned.Load() }
-
-// Plan maps one "auto" request to a concrete method + effective epsilon.
-// Strict inputs take the pure path; flexible inputs may be downgraded or
-// loosened to fit their deadline.
+// Plan maps one request to the plan that runs: for "auto" (an empty
+// Algorithm) the strict choice, else the requested method and epsilon,
+// then whatever Substitute makes of it.
 func (p *Planner) Plan(in Input) Decision {
 	p.calibrated()
-	p.autoPlanned.Add(1)
-	d := p.strict(in)
-	if !in.Flexible || in.Deadline <= 0 {
-		return d
+	d := Decision{Algorithm: in.Algorithm, Epsilon: in.Epsilon}
+	if in.Algorithm == "" {
+		d = p.strict(in)
 	}
-	return p.fit(in, d)
+	return p.Substitute(in, d)
 }
 
-// strict is the pure half: a function of (epsilon, k) and graph stats
-// only. Changing anything here changes which answers "auto" serves —
-// update the golden matrix and DESIGN §13 together with it.
+// Substitute applies the two triggers to d, the plan asked for: an
+// overloaded request takes one step, then a flexible "auto" request with
+// a deadline keeps stepping until the estimate fits its budget. Callers
+// look up the cache on d between planning and substitution, so a cached
+// answer to the plan asked for preempts both triggers. A request neither
+// trigger fires for comes back unchanged.
+func (p *Planner) Substitute(in Input, d Decision) Decision {
+	if in.Overloaded {
+		d, _ = p.step(d, ReasonOverloadLoosen, ReasonOverloadDowngrade)
+	}
+	if in.Algorithm == "" && in.Flexible && in.Deadline > 0 {
+		d = p.fit(in, d)
+	}
+	return d
+}
+
+// strict is the pure half: a function of epsilon and graph stats only.
+// Changing anything here changes which answers "auto" serves — update
+// the golden matrix and DESIGN §13 together with it.
 func (p *Planner) strict(in Input) Decision {
 	eps := in.Epsilon
 	if eps == 0 {
@@ -266,48 +286,61 @@ func (p *Planner) skewed() bool {
 		float64(p.stats.MaxInDegree) >= powerLawSkew*p.stats.AvgDegree
 }
 
-// fit is the flexible half: keep the strict choice when its estimate fits
-// the remaining budget; otherwise loosen epsilon one octave at a time
-// (up to maxLoosenEpsilon), then step down to cheaper methods. The
-// estimate discounts ExactSim when the diag index is warm (residency) and
-// charges expected queue dwell against the deadline.
+// step is the one degradation ladder, and the only code that makes a
+// plan cheaper: double the effective epsilon (one quantization octave —
+// the chunk allowances are power-of-two sized, so octave steps stay
+// cache-aligned) while the doubled value stays within maxLoosenEpsilon,
+// else move to the next method of downgrades (a method not on it moves
+// to the first). The reason names the trigger and the kind of step. mc
+// at the cap has nowhere cheaper to go: d comes back unchanged, false.
+func (p *Planner) step(d Decision, loosen, downgrade string) (Decision, bool) {
+	if eps := p.effective(d.Epsilon); 2*eps <= maxLoosenEpsilon {
+		d.Epsilon, d.Reason = 2*eps, loosen
+		return d, true
+	}
+	next := downgrades[0]
+	for i, alg := range downgrades {
+		if alg == d.Algorithm {
+			if i+1 == len(downgrades) {
+				return d, false
+			}
+			next = downgrades[i+1]
+			break
+		}
+	}
+	d.Algorithm, d.Reason = next, downgrade
+	return d, true
+}
+
+// fit is the deadline trigger: keep d when its estimate fits the
+// remaining budget, otherwise step until one does. The estimate
+// discounts ExactSim when the diag index is warm (residency) and charges
+// expected queue dwell against the deadline.
 func (p *Planner) fit(in Input, d Decision) Decision {
 	budget := in.Deadline - in.QueueDwell
 	if budget <= 0 {
 		budget = in.Deadline / 2
 	}
-	d.EstimatedCost = p.Estimate(d.Algorithm, p.effective(d.Epsilon), in.DiagResidentBytes)
-	if d.EstimatedCost <= budget {
-		return d
-	}
-	// Octave loosening first: same method, coarser target — the answer
-	// class (error-bounded) survives, only the bound moves.
-	eps := p.effective(d.Epsilon)
-	for 2*eps <= maxLoosenEpsilon {
-		eps *= 2
-		cost := p.Estimate(d.Algorithm, eps, in.DiagResidentBytes)
-		if cost <= budget {
-			d.Epsilon, d.Reason, d.EstimatedCost = eps, ReasonDeadlineLoosen, cost
+	// loosest is d's own method at the loosest epsilon reached — what
+	// runs when nothing fits, so the anytime ladder can salvage what the
+	// deadline allows. Until a step moves epsilon it is d, reason and all.
+	loosest := d
+	for {
+		d.EstimatedCost = p.Estimate(d.Algorithm, d.Epsilon, in.DiagResidentBytes)
+		if d.EstimatedCost <= budget {
 			return d
 		}
-	}
-	// Method downgrade: cheaper classes in order. mc last — it gives up
-	// the error bound entirely, which only a flexible request may accept.
-	for _, alg := range []string{"prsim", "probesim", "mc"} {
-		if alg == d.Algorithm {
-			continue
+		next, ok := p.step(d, ReasonDeadlineLoosen, ReasonDeadlineDowngrade)
+		if !ok {
+			break
 		}
-		cost := p.Estimate(alg, eps, in.DiagResidentBytes)
-		if cost <= budget {
-			d.Algorithm, d.Epsilon, d.Reason, d.EstimatedCost = alg, eps, ReasonDeadlineDowngrade, cost
-			return d
+		d = next
+		if d.Algorithm == loosest.Algorithm {
+			loosest = d
 		}
 	}
-	// Nothing fits: keep the loosest epsilon on the strict method and let
-	// the anytime ladder salvage what the deadline allows.
-	d.Epsilon, d.Reason = eps, ReasonDeadlineLoosen
-	d.EstimatedCost = p.Estimate(d.Algorithm, eps, in.DiagResidentBytes)
-	return d
+	loosest.EstimatedCost = p.Estimate(loosest.Algorithm, loosest.Epsilon, in.DiagResidentBytes)
+	return loosest
 }
 
 // effective resolves the 0 "service default" epsilon sentinel.

@@ -47,8 +47,6 @@ func TestPlannerGoldenMatrix(t *testing.T) {
 			Decision{Algorithm: "exactsim", Epsilon: 0.002, Reason: ReasonTightEpsilon}},
 		{"large-flat", largeFlatStats, Input{Epsilon: 0.02},
 			Decision{Algorithm: "probesim", Epsilon: 0.02, Reason: ReasonLargeFlat}},
-		{"large-flat-topk", largeFlatStats, Input{Epsilon: 0.02, K: 10},
-			Decision{Algorithm: "probesim", Epsilon: 0.02, Reason: ReasonLargeFlat}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,8 +60,8 @@ func TestPlannerGoldenMatrix(t *testing.T) {
 }
 
 // TestPlannerStrictIgnoresRuntimeState: a strict (non-flexible) decision
-// must be a pure function of (epsilon, k) and graph stats — deadline,
-// queue dwell, priority and index residency must not leak in, or two
+// must be a pure function of epsilon and graph stats — deadline, queue
+// dwell and index residency must not leak in, or two
 // same-epoch replicas could plan one request differently and hedging
 // would race non-identical answers.
 func TestPlannerStrictIgnoresRuntimeState(t *testing.T) {
@@ -72,7 +70,6 @@ func TestPlannerStrictIgnoresRuntimeState(t *testing.T) {
 	perturbed := []Input{
 		{Epsilon: 0.02, Deadline: time.Nanosecond},
 		{Epsilon: 0.02, Deadline: time.Hour, QueueDwell: time.Minute},
-		{Epsilon: 0.02, PriorityRank: 2},
 		{Epsilon: 0.02, DiagResidentBytes: 1 << 30},
 	}
 	for _, in := range perturbed {
@@ -127,6 +124,38 @@ func TestPlannerFlexibleFit(t *testing.T) {
 			t.Fatalf("downgrade kept ε=%v, want the loosened 0.08", d.Epsilon)
 		}
 	})
+	t.Run("nothing-fits-keeps-unmoved-plan", func(t *testing.T) {
+		// ε=0.08 cannot double within the cap and no method meets a 1ns
+		// budget: the fallback runs the plan asked for, so its reason
+		// must not claim a loosening that never happened.
+		p := NewFromStats(smallStats, 0.01)
+		d := p.Plan(Input{Epsilon: 0.08, Deadline: time.Nanosecond, Flexible: true})
+		if d.Algorithm != "exactsim" || d.Epsilon != 0.08 || d.Reason != ReasonSmallGraphDefault {
+			t.Fatalf("Plan = %+v, want exactsim at 0.08 for %s", d, ReasonSmallGraphDefault)
+		}
+		d = p.Plan(Input{Epsilon: 0.02, Deadline: time.Nanosecond, Flexible: true})
+		if d.Algorithm != "exactsim" || d.Epsilon != 0.08 || d.Reason != ReasonDeadlineLoosen {
+			t.Fatalf("Plan = %+v, want exactsim loosened to 0.08 for %s", d, ReasonDeadlineLoosen)
+		}
+	})
+	t.Run("overload-step-first", func(t *testing.T) {
+		// Both triggers: the overload step comes first and the fit
+		// continues from its plan. exactsim costs 350ns at ε=0.02 (the
+		// overload step) and 162.5ns at 0.04.
+		p := NewFromStats(graph.Stats{N: 1_000, M: 100, MaxInDegree: 10, AvgDegree: 0.1}, 0.01)
+		for _, tc := range []struct {
+			deadline time.Duration
+			want     Decision
+		}{
+			{time.Microsecond, Decision{Algorithm: "exactsim", Epsilon: 0.02, Reason: ReasonOverloadLoosen, EstimatedCost: 350}},
+			{200 * time.Nanosecond, Decision{Algorithm: "exactsim", Epsilon: 0.04, Reason: ReasonDeadlineLoosen, EstimatedCost: 162}},
+		} {
+			d := p.Plan(Input{Epsilon: 0.01, Deadline: tc.deadline, Flexible: true, Overloaded: true})
+			if d != tc.want {
+				t.Fatalf("deadline %v: Plan = %+v, want %+v", tc.deadline, d, tc.want)
+			}
+		}
+	})
 	t.Run("strict-input-never-fitted", func(t *testing.T) {
 		// The same impossible deadline without Flexible: the pure decision
 		// stands, no cost estimate attached.
@@ -137,6 +166,59 @@ func TestPlannerFlexibleFit(t *testing.T) {
 			t.Fatalf("Plan = %+v, want %+v", d, want)
 		}
 	})
+}
+
+// TestPlannerOverloadStep pins the one ladder as the overload trigger
+// walks it: one step per request, epsilon doubled while the double stays
+// within maxLoosenEpsilon (the 0 sentinel from the base epsilon), else
+// the next method of prsim → probesim → mc, a method off that list
+// stepping to prsim and mc going nowhere.
+func TestPlannerOverloadStep(t *testing.T) {
+	p := NewFromStats(smallStats, 0.01)
+	cases := []struct {
+		in   Input
+		want Decision
+	}{
+		{Input{Algorithm: "exactsim", Epsilon: 0.02},
+			Decision{Algorithm: "exactsim", Epsilon: 0.04, Reason: ReasonOverloadLoosen}},
+		{Input{Algorithm: "exactsim"},
+			Decision{Algorithm: "exactsim", Epsilon: 0.02, Reason: ReasonOverloadLoosen}},
+		{Input{Algorithm: "exactsim", Epsilon: 0.05},
+			Decision{Algorithm: "exactsim", Epsilon: 0.1, Reason: ReasonOverloadLoosen}},
+		{Input{Algorithm: "exactsim", Epsilon: 0.08},
+			Decision{Algorithm: "prsim", Epsilon: 0.08, Reason: ReasonOverloadDowngrade}},
+		{Input{Algorithm: "exactsim-basic", Epsilon: 0.08},
+			Decision{Algorithm: "prsim", Epsilon: 0.08, Reason: ReasonOverloadDowngrade}},
+		{Input{Algorithm: "parsim", Epsilon: 0.08},
+			Decision{Algorithm: "prsim", Epsilon: 0.08, Reason: ReasonOverloadDowngrade}},
+		{Input{Algorithm: "linearization", Epsilon: 0.08},
+			Decision{Algorithm: "prsim", Epsilon: 0.08, Reason: ReasonOverloadDowngrade}},
+		{Input{Algorithm: "powermethod", Epsilon: 0.08},
+			Decision{Algorithm: "prsim", Epsilon: 0.08, Reason: ReasonOverloadDowngrade}},
+		{Input{Algorithm: "prsim", Epsilon: 0.08},
+			Decision{Algorithm: "probesim", Epsilon: 0.08, Reason: ReasonOverloadDowngrade}},
+		{Input{Algorithm: "probesim", Epsilon: 0.08},
+			Decision{Algorithm: "mc", Epsilon: 0.08, Reason: ReasonOverloadDowngrade}},
+		{Input{Algorithm: "mc", Epsilon: 0.08},
+			Decision{Algorithm: "mc", Epsilon: 0.08}},
+		// "auto": the strict choice takes the step.
+		{Input{Epsilon: 0.02},
+			Decision{Algorithm: "exactsim", Epsilon: 0.04, Reason: ReasonOverloadLoosen}},
+	}
+	for _, tc := range cases {
+		in := tc.in
+		in.Overloaded = true
+		if got := p.Plan(in); got != tc.want {
+			t.Errorf("Plan(%+v) = %+v, want %+v", in, got, tc.want)
+		}
+		// Without the signal a concrete request comes back unchanged.
+		if tc.in.Algorithm != "" {
+			want := Decision{Algorithm: tc.in.Algorithm, Epsilon: tc.in.Epsilon}
+			if got := p.Plan(tc.in); got != want {
+				t.Errorf("Plan(%+v) = %+v, want it unchanged", tc.in, got)
+			}
+		}
+	}
 }
 
 // TestTiersGolden pins the anytime ladder shape: coarse→tight in
@@ -253,7 +335,7 @@ func TestObserveRefinesEstimates(t *testing.T) {
 // to every "auto" query — the acceptance bound is < 5µs/op.
 func BenchmarkPlannerDecision(b *testing.B) {
 	p := NewFromStats(largePowerLawStats, 0.01)
-	in := Input{Epsilon: 0.02, K: 10}
+	in := Input{Epsilon: 0.02}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -264,7 +346,7 @@ func BenchmarkPlannerDecision(b *testing.B) {
 // BenchmarkPlannerDecisionFlexible includes the cost-model fit path.
 func BenchmarkPlannerDecisionFlexible(b *testing.B) {
 	p := NewFromStats(largePowerLawStats, 0.01)
-	in := Input{Epsilon: 0.02, K: 10, Deadline: time.Millisecond, Flexible: true}
+	in := Input{Epsilon: 0.02, Deadline: time.Millisecond, Flexible: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

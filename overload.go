@@ -51,31 +51,14 @@ func (p Priority) display() Priority {
 // numPriorities is the queue class count (rank 0..numPriorities-1).
 const numPriorities = 3
 
-// DefaultDegradeLadder is the brownout downgrade map applied when
-// ServiceOptions.DegradeLadder is nil: each algorithm steps to a cheaper
-// estimator with a looser (but still bounded and deterministic) accuracy
-// profile. Only requests with AllowDegraded set ever take a step.
-var DefaultDegradeLadder = map[string]string{
-	"exactsim":       "prsim",
-	"exactsim-basic": "prsim",
-	"parsim":         "prsim",
-	"prsim":          "mc",
-	"probesim":       "mc",
-	"linearization":  "mc",
-	"powermethod":    "mc",
-}
-
 const (
 	// defaultQueueTarget is the CoDel sojourn target: queueing above this
 	// for a full window means the pool is behind, not merely bursty.
 	defaultQueueTarget = 5 * time.Millisecond
 	// defaultQueueWindow is the CoDel interval — how long sojourn must
 	// stay above target before head drops begin, and the sliding horizon
-	// of the brownout overload signal.
+	// of the overload signal.
 	defaultQueueWindow = 100 * time.Millisecond
-	// defaultBrownoutMaxEpsilon caps brownout epsilon loosening: a
-	// degraded answer doubles the request's epsilon at most up to here.
-	defaultBrownoutMaxEpsilon = 0.1
 )
 
 // queueDropReason says why the queue ejected a job without running it.
@@ -123,8 +106,7 @@ type serviceQueue struct {
 	dropCount  int
 
 	// lastShed timestamps the most recent overflow shed — together with
-	// the dropping state it forms the brownout "sustained overload"
-	// signal.
+	// the dropping state it forms the "sustained overload" signal.
 	lastShed time.Time
 
 	// sojournEWMA smooths observed queue dwell (α = 1/8); it sizes the
@@ -327,9 +309,11 @@ func codelInterval(window time.Duration, count int) time.Duration {
 	return time.Duration(float64(window) / math.Sqrt(float64(count)))
 }
 
-// overloaded is the brownout signal: the queue is in the CoDel dropping
-// state, or an overflow shed happened within the last window. Both mean
-// demand has exceeded capacity for a sustained stretch, not one burst.
+// overloaded is the overload signal (the brownout_active gauge, and the
+// planner's overload trigger for AllowDegraded requests): the queue is
+// in the CoDel dropping state, or an overflow shed happened within the
+// last window. Both mean demand has exceeded capacity for a sustained
+// stretch, not one burst.
 func (q *serviceQueue) overloaded() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -1,6 +1,7 @@
 package exactsim
 
 import (
+	"context"
 	"time"
 
 	"github.com/exactsim/exactsim/internal/algo"
@@ -9,29 +10,31 @@ import (
 
 // AlgorithmAuto routes a request through the adaptive query planner
 // (internal/plan): the service picks the cheapest registered method whose
-// guarantees cover the request's (epsilon, k) — and, for requests that
+// guarantees cover the request's epsilon — and, for requests that
 // opted into partial or degraded answers, its deadline budget — then
-// echoes the choice in Response.Plan. It is the service default.
+// echoes the plan that ran in Response.Plan. It is the service default.
 //
 // Determinism carve-out (DESIGN §13): a request that sets neither
 // AllowPartial nor AllowDegraded is planned by a pure function of
-// (epsilon, k) and epoch-static graph statistics, so "auto" answers
+// epsilon and epoch-static graph statistics, so "auto" answers
 // bit-identically to the concrete method it reports, on every same-epoch
 // replica.
 const AlgorithmAuto = "auto"
 
-// PlanInfo is the audit block an "auto"-routed Response carries: what the
-// planner chose and why. Cache lines are keyed under the *planned*
-// algorithm and epsilon, so two requests planned alike share an answer.
+// PlanInfo is the audit block an "auto"-routed Response carries: the plan
+// that ran and why. Cache lines are keyed under the *planned* algorithm
+// and epsilon, so two requests planned alike share an answer.
 type PlanInfo struct {
-	// Algorithm is the concrete registry method the planner selected.
+	// Algorithm is the concrete registry method that ran.
 	Algorithm string `json:"algorithm"`
 	// EffectiveEpsilon is the error target the plan runs at, with the 0
 	// "service default" sentinel resolved to its actual value.
 	EffectiveEpsilon float64 `json:"effective_epsilon"`
-	// Reason is the planner's enumerated explanation (tight-epsilon,
-	// large-power-law, large-flat, small-graph-default,
-	// deadline-downgrade, deadline-loosen).
+	// Reason is the planner's enumerated explanation: the strict choice
+	// (tight-epsilon, large-power-law, large-flat, small-graph-default),
+	// or the trigger and kind of the step that substituted it
+	// (overload-loosen, overload-downgrade, deadline-loosen,
+	// deadline-downgrade), which always comes with Degraded set.
 	Reason string `json:"reason"`
 }
 
@@ -68,40 +71,27 @@ func (s *Service) PlanEstimates() []PlanEstimate {
 	return s.state.Load().planner.Estimates()
 }
 
-// resolvePlan routes an AlgorithmAuto request through st's planner and
-// rewrites it to the concrete plan. Strict requests (neither AllowPartial
-// nor AllowDegraded) use the pure decision path; flexible ones also weigh
-// the remaining deadline, expected queue dwell and diag-index residency.
-// The request's 0-epsilon sentinel survives when the plan keeps it, so
-// planned answers share cache lines with explicit requests.
-func (s *Service) resolvePlan(ctx deadliner, st *graphState, req Request) (Request, *PlanInfo) {
-	in := plan.Input{
-		Epsilon:  req.Epsilon,
-		K:        req.K,
-		Flexible: req.AllowPartial || req.AllowDegraded,
+// substitute lets st's planner step asked, the plan the request asked
+// for, down its ladder. The Service decides eligibility: the overload
+// signal is read only for AllowDegraded requests, and only a flexible
+// "auto" request (AllowPartial or AllowDegraded) weighs its remaining
+// deadline, expected queue dwell and diag-index residency. A request
+// that opted into neither comes back unchanged without touching the
+// queue.
+func (s *Service) substitute(ctx context.Context, st *graphState, req Request, in plan.Input, asked plan.Decision) plan.Decision {
+	if !req.AllowDegraded && !req.AllowPartial {
+		return asked
 	}
-	if in.Flexible {
-		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); rem > 0 {
-				in.Deadline = rem
-			}
+	in.Overloaded = req.AllowDegraded && s.queue.overloaded()
+	if dl, ok := ctx.Deadline(); ok && in.Algorithm == "" {
+		in.Flexible = true
+		if rem := time.Until(dl); rem > 0 {
+			in.Deadline = rem
 		}
 		in.QueueDwell = s.queue.expectedDwell()
-		in.PriorityRank, _ = req.Priority.rank()
 		if st.diagIdx != nil {
 			in.DiagResidentBytes = st.diagIdx.Stats().ResidentBytes
 		}
 	}
-	d := st.planner.Plan(in)
-	req.Algorithm = d.Algorithm
-	req.Epsilon = d.Epsilon
-	return req, &PlanInfo{
-		Algorithm:        d.Algorithm,
-		EffectiveEpsilon: st.planner.Effective(d.Epsilon),
-		Reason:           d.Reason,
-	}
+	return st.planner.Substitute(in, asked)
 }
-
-// deadliner is the slice of context.Context resolvePlan needs; the
-// narrow interface keeps the planner testable without contexts.
-type deadliner interface{ Deadline() (time.Time, bool) }

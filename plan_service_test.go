@@ -249,6 +249,47 @@ func TestPartialBestSoFar(t *testing.T) {
 	}
 }
 
+// TestAutoDeadlineFitStampsDegraded: an "auto" plan the deadline fit
+// substituted is stamped Degraded beside its deadline reason, and its
+// plan block names the plan that ran. At ε = 1e-6 exactsim's estimate is
+// at least 10s even at the microprobe's fastest clamp, so a 50ms budget
+// always forces a step; whether the substitute then beats the deadline
+// does not matter to the stamp. A cached answer to the strict plan
+// preempts the fit.
+func TestAutoDeadlineFitStampsDegraded(t *testing.T) {
+	svc := newPlanService(t, GenerateBarabasiAlbert(60, 3, 7))
+	// Calibrate the planner first, so the budget is all the request's.
+	warm := svc.Query(context.Background(), Request{Source: 4, Epsilon: 0.05})
+	if warm.Err != nil {
+		t.Fatal(warm.Err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+
+	// Stand in for a strict answer at ε = 1e-6, too costly to compute here.
+	svc.cache.put(cacheKey{epoch: svc.Epoch(), algorithm: "exactsim", source: 6, epsilon: 1e-6}, warm.Result)
+	hit := svc.Query(ctx, Request{Source: 6, Epsilon: 1e-6, AllowPartial: true})
+	want := PlanInfo{Algorithm: "exactsim", EffectiveEpsilon: 1e-6, Reason: "tight-epsilon"}
+	if !hit.CacheHit || hit.Degraded || hit.Plan == nil || *hit.Plan != want {
+		t.Fatalf("cached strict answer: hit=%v degraded=%v plan %+v, want a hit planned %+v",
+			hit.CacheHit, hit.Degraded, hit.Plan, want)
+	}
+
+	r := svc.Query(ctx, Request{Source: 5, Epsilon: 1e-6, NoCache: true, AllowPartial: true})
+	if r.Plan == nil {
+		t.Fatal("auto response carries no Plan block")
+	}
+	if r.Plan.Reason != "deadline-loosen" && r.Plan.Reason != "deadline-downgrade" {
+		t.Fatalf("plan %+v, want a deadline reason", *r.Plan)
+	}
+	if !r.Degraded {
+		t.Fatalf("deadline-fitted answer not stamped degraded: plan %+v", *r.Plan)
+	}
+	if r.Request.Algorithm != r.Plan.Algorithm || r.Request.Epsilon != r.Plan.EffectiveEpsilon {
+		t.Fatalf("ran %s at ε %v, plan says %+v", r.Request.Algorithm, r.Request.Epsilon, *r.Plan)
+	}
+}
+
 // TestPartialNeverCached: a best-so-far tier must not poison the cache —
 // the next caller with budget deserves the full answer.
 func TestPartialNeverCached(t *testing.T) {

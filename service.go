@@ -82,26 +82,9 @@ type ServiceOptions struct {
 	QueueTarget time.Duration
 	// QueueWindow is the CoDel interval: how long dwell must stay above
 	// QueueTarget before drops begin, and the sliding horizon of the
-	// brownout overload signal. 0 selects 100ms.
+	// overload signal that steps AllowDegraded requests down the
+	// planner's ladder. 0 selects 100ms.
 	QueueWindow time.Duration
-
-	// DisableBrownout turns degraded answering off entirely: overloaded
-	// requests are shed rather than answered by a cheaper plan, even
-	// when they set AllowDegraded.
-	DisableBrownout bool
-	// BrownoutMaxEpsilon caps brownout epsilon loosening: a degraded
-	// request's epsilon doubles (one quantization octave — the chunk
-	// allowances of PR 4 are power-of-two sized, so octave steps stay
-	// cache-aligned) only while the doubled value stays at or below this
-	// cap. 0 selects 0.1; negative disables epsilon loosening (the
-	// DegradeLadder algorithm downgrade remains).
-	BrownoutMaxEpsilon float64
-	// DegradeLadder maps each algorithm to the cheaper one a brownout
-	// answer may substitute when epsilon can loosen no further. nil
-	// selects DefaultDegradeLadder; an empty non-nil map disables
-	// algorithm downgrades. Every key and value must name a registered
-	// algorithm (validated by NewService).
-	DegradeLadder map[string]string
 }
 
 func (o *ServiceOptions) normalize() {
@@ -125,12 +108,6 @@ func (o *ServiceOptions) normalize() {
 	}
 	if o.QueueWindow <= 0 {
 		o.QueueWindow = defaultQueueWindow
-	}
-	if o.BrownoutMaxEpsilon == 0 {
-		o.BrownoutMaxEpsilon = defaultBrownoutMaxEpsilon
-	}
-	if o.DegradeLadder == nil {
-		o.DegradeLadder = DefaultDegradeLadder
 	}
 }
 
@@ -159,12 +136,13 @@ type Request struct {
 	// queue behind higher ones and are shed first; Warm traffic defaults
 	// to background.
 	Priority Priority `json:"priority,omitempty"`
-	// AllowDegraded opts this request into brownout mode: when the
-	// service detects sustained overload it may answer with a cheaper
-	// plan (epsilon loosened one octave, or the algorithm stepped down
-	// the configured ladder), marking Response.Degraded. Requests that
-	// do not opt in are never degraded — their answers stay bit-exact
-	// under any load.
+	// AllowDegraded opts this request into degraded answers: while the
+	// service's overload signal fires, the plan takes one step down the
+	// planner's ladder (epsilon doubled while it stays within 0.1, else
+	// the next cheaper method), and an "auto" plan may also step to fit
+	// the remaining deadline. Such answers are marked Response.Degraded.
+	// Requests that opt into neither this nor AllowPartial are never
+	// substituted — their answers stay bit-exact under any load.
 	AllowDegraded bool `json:"allow_degraded,omitempty"`
 	// AllowPartial opts this request into anytime serving: the worker
 	// evaluates an accuracy-tier ladder (coarse→target epsilon) with
@@ -197,16 +175,18 @@ type Response struct {
 	// is internally consistent on its epoch even when an update lands
 	// mid-query.
 	GraphEpoch uint64 `json:"graph_epoch"`
-	// Degraded marks a brownout answer: the service was overloaded, the
-	// request set AllowDegraded, and this response was computed by a
-	// cheaper plan (loosened epsilon or a downgraded algorithm — the
-	// echoed Request shows which). Never set on requests that did not
-	// opt in.
+	// Degraded marks an answer computed by a different plan than the one
+	// asked for — a looser effective epsilon or a cheaper method, as the
+	// echoed Request shows — because the overload signal fired on an
+	// AllowDegraded request, or an "auto" plan stepped to fit the
+	// deadline of an AllowPartial or AllowDegraded request. For "auto",
+	// the plan asked for is the planner's strict choice. Never set on
+	// requests that opted into neither.
 	Degraded bool `json:"degraded,omitempty"`
 	// Plan is the planner's audit block, present exactly when the request
-	// was routed through AlgorithmAuto: the concrete method chosen, the
+	// was routed through AlgorithmAuto: the concrete method that ran, the
 	// effective epsilon it ran at, and the enumerated decision reason.
-	// The echoed Request carries the planned algorithm, so the answer is
+	// The echoed Request carries the same algorithm, so the answer is
 	// cached — and deduplicated — under the planned key.
 	Plan *PlanInfo `json:"plan,omitempty"`
 	// Partial marks a best-so-far answer: the request set AllowPartial,
@@ -303,8 +283,8 @@ type ServiceStats struct {
 	// head drops (sojourn over target for a window); DeadlineRejected
 	// counts queries answered deadline_exceeded before any work because
 	// their budget was already spent on arrival or in the queue;
-	// DegradedQueries counts successful brownout answers (AllowDegraded
-	// requests served by a cheaper plan). BrownoutActive reports whether
+	// DegradedQueries counts successful answers stamped Degraded (by the
+	// overload or the deadline trigger). BrownoutActive reports whether
 	// the overload signal is currently firing; QueueSojournMicros is the
 	// smoothed queue dwell the retry_after_ms hints are sized from.
 	ShedQueries        int64 `json:"shed_queries"`
@@ -381,10 +361,6 @@ type Service struct {
 	queue   *serviceQueue
 	workers sync.WaitGroup
 
-	// degradeLadder is the validated, private copy of
-	// ServiceOptions.DegradeLadder brownout answers step down.
-	degradeLadder map[string]string
-
 	// buildCtx outlives individual requests: index builds run under it
 	// (cancelled only by Close), so one short-deadline request cannot
 	// abort-and-retry-forever a long build that later requests need.
@@ -428,7 +404,7 @@ type Service struct {
 	inFlight  atomic.Int64
 
 	// deadlineRejected counts expired-on-arrival answers (budget gone
-	// before any work); degradedQueries counts successful brownout
+	// before any work); degradedQueries counts successful Degraded
 	// answers. Both are monotonic wire gauges.
 	deadlineRejected atomic.Int64
 	degradedQueries  atomic.Int64
@@ -523,32 +499,15 @@ func newService(g *Graph, opts ServiceOptions, restoredIdx *DiagSampleIndex) (*S
 	if err != nil {
 		return nil, Errorf(CodeInvalidArgument, "exactsim: %v", err)
 	}
-	// The ladder is part of answer semantics (a degraded response follows
-	// it), so it is validated like the default algorithm and copied so a
-	// caller mutating its map cannot change live routing.
-	ladder := make(map[string]string, len(opts.DegradeLadder))
-	for from, to := range opts.DegradeLadder {
-		if !KnownAlgorithm(from) || !KnownAlgorithm(to) {
-			return nil, Errorf(CodeNotFound,
-				"exactsim: degrade ladder step %q -> %q names an unknown algorithm (have %v)",
-				from, to, Algorithms())
-		}
-		if from == to {
-			return nil, Errorf(CodeInvalidArgument,
-				"exactsim: degrade ladder step %q -> %q is a no-op", from, to)
-		}
-		ladder[from] = to
-	}
 	buildCtx, cancelBuild := context.WithCancel(context.Background())
 	s := &Service{
-		opts:          opts,
-		buildCtx:      buildCtx,
-		cancelBuild:   cancelBuild,
-		degradeLadder: ladder,
-		queriers:      make(map[querierKey]*querierSlot),
-		inflight:      make(map[cacheKey]*flight),
-		cache:         newResultCache(opts.CacheSize),
-		baseEpsilon:   baseCfg.Epsilon,
+		opts:        opts,
+		buildCtx:    buildCtx,
+		cancelBuild: cancelBuild,
+		queriers:    make(map[querierKey]*querierSlot),
+		inflight:    make(map[cacheKey]*flight),
+		cache:       newResultCache(opts.CacheSize),
+		baseEpsilon: baseCfg.Epsilon,
 	}
 	s.queue = newServiceQueue(opts.QueueDepth, opts.QueueTarget, opts.QueueWindow, s.dropJob)
 	st := s.newState(g, 1)
@@ -677,50 +636,61 @@ func (s *Service) query(ctx context.Context, req Request, emit func(Response)) R
 		return s.fail(st, req, err)
 	}
 
-	// AlgorithmAuto routes through the planner: the request is rewritten
-	// to the concrete method + epsilon the plan selected, so every later
-	// stage (brownout, cache key, single-flight, dispatch) operates on
-	// the planned key and two alike-planned requests share one answer.
-	var planned *PlanInfo
-	if req.Algorithm == AlgorithmAuto {
-		req, planned = s.resolvePlan(ctx, st, req)
+	// One pipeline: plan ("auto" only), look up the cache on the plan
+	// asked for, let the planner substitute a cheaper one, then cache,
+	// single-flight and execute under the plan that runs. The request is
+	// rewritten at each step, so every later stage keys on the plan in
+	// force and two alike-planned requests share one answer.
+	auto := req.Algorithm == AlgorithmAuto
+	in := plan.Input{Algorithm: req.Algorithm, Epsilon: req.Epsilon}
+	if auto {
+		in.Algorithm = ""
 		s.autoPlanned.Add(1)
 	}
+	asked := st.planner.Plan(in)
+	req.Algorithm = asked.Algorithm
+	ran := asked
+	var resp Response
+	// A cached answer to the plan asked for preempts substitution: a hit
+	// is cheaper than any degraded plan.
+	if res, ok := s.cached(st, req); ok {
+		resp = s.respond(st, req, res, true)
+	} else {
+		ran = s.substitute(ctx, st, req, in, asked)
+		req.Algorithm, req.Epsilon = ran.Algorithm, ran.Epsilon
+		resp = s.compute(ctx, st, req, emit)
+	}
+	return s.stampDegraded(st, resp, auto, asked, ran)
+}
 
-	var degraded bool
+// cached looks req up in the result cache (never for NoCache requests).
+func (s *Service) cached(st *graphState, req Request) (*QueryResult, bool) {
 	if req.NoCache {
-		req, degraded = s.maybeDegrade(req)
-		return stampPlan(s.markDegraded(s.dispatch(ctx, st, req, emit), degraded), planned)
+		return nil, false
 	}
+	return s.cache.get(cacheKey{epoch: st.epoch, algorithm: req.Algorithm,
+		source: req.Source, epsilon: req.Epsilon})
+}
 
-	// Cacheable path: cache lookup, then request-level single-flight —
-	// concurrent queries for the same cold key elect one leader to
-	// compute; the rest wait on its flight (or their own context) instead
-	// of duplicating the work across the pool. The key carries st.epoch,
-	// so requests racing an Update dedupe only within their generation.
-	key := cacheKey{epoch: st.epoch, algorithm: req.Algorithm,
-		source: req.Source, epsilon: req.Epsilon}
-	// An exact answer already cached preempts brownout: a hit is cheaper
-	// than any degraded plan, so an opted-in request only degrades on a
-	// miss. Degradation rewrites the plan fields, so key, cache line and
-	// single-flight all operate on the plan actually computed.
-	if res, ok := s.cache.get(key); ok {
-		return stampPlan(s.respond(st, req, res, true), planned)
-	}
-	if req, degraded = s.maybeDegrade(req); degraded {
-		key = cacheKey{epoch: st.epoch, algorithm: req.Algorithm,
-			source: req.Source, epsilon: req.Epsilon}
-	}
-	if emit != nil {
+// compute answers req under the plan that runs. Cacheable requests go
+// through the cache and a request-level single-flight: concurrent
+// queries for the same cold key elect one leader to compute; the rest
+// wait on its flight (or their own context) instead of duplicating the
+// work across the pool. The key carries st.epoch, so requests racing an
+// Update dedupe only within their generation.
+func (s *Service) compute(ctx context.Context, st *graphState, req Request, emit func(Response)) Response {
+	if req.NoCache || emit != nil {
 		// Streaming requests want the refinement sequence, which another
 		// leader's single answer cannot provide — they bypass the
-		// single-flight (the cache pre-check above still short-circuits
-		// warm keys straight to the terminal record).
-		return stampPlan(s.markDegraded(s.dispatch(ctx, st, req, emit), degraded), planned)
+		// single-flight (the cache pre-check in query still
+		// short-circuits warm keys straight to the terminal record).
+		return s.dispatch(ctx, st, req, emit)
 	}
+	key := cacheKey{epoch: st.epoch, algorithm: req.Algorithm,
+		source: req.Source, epsilon: req.Epsilon}
 	for {
 		if res, ok := s.cache.get(key); ok {
-			return stampPlan(s.markDegraded(s.respond(st, req, res, true), degraded), planned)
+			return s.respond(st, req, res, true)
 		}
 		s.flightMu.Lock()
 		if f, ok := s.inflight[key]; ok {
@@ -731,13 +701,13 @@ func (s *Service) query(ctx context.Context, req Request, emit func(Response)) R
 					// Served by the leader's computation: a hit as far as
 					// this request is concerned. A Partial leader answer is
 					// NOT shareable — its deadline is not ours.
-					return stampPlan(s.markDegraded(s.respond(st, req, f.resp.Result, true), degraded), planned)
+					return s.respond(st, req, f.resp.Result, true)
 				}
 				// The leader failed (its deadline, a build error): its
 				// error is not ours — loop and retry, perhaps as leader.
 				continue
 			case <-ctx.Done():
-				return stampPlan(s.markDegraded(s.fail(st, req, ToError(ctx.Err())), degraded), planned)
+				return s.fail(st, req, ToError(ctx.Err()))
 			}
 		}
 		f := &flight{done: make(chan struct{})}
@@ -751,8 +721,29 @@ func (s *Service) query(ctx context.Context, req Request, emit func(Response)) R
 		delete(s.inflight, key)
 		s.flightMu.Unlock()
 		close(f.done)
-		return stampPlan(s.markDegraded(resp, degraded), planned)
+		return resp
 	}
+}
+
+// stampDegraded is the pipeline's one exit. An answer whose plan differs
+// from the one asked for, in method or in effective epsilon, is stamped
+// Degraded and — if it succeeded; a substitute that still failed
+// degraded nobody's accuracy — counted in degraded_queries. An "auto"
+// answer gets its Plan block, naming the plan that ran. Intermediate
+// stream records carry neither: the terminal record is the auditable
+// answer.
+func (s *Service) stampDegraded(st *graphState, resp Response, auto bool, asked, ran plan.Decision) Response {
+	eps := st.planner.Effective(ran.Epsilon)
+	if ran.Algorithm != asked.Algorithm || eps != st.planner.Effective(asked.Epsilon) {
+		resp.Degraded = true
+		if resp.Err == nil {
+			s.degradedQueries.Add(1)
+		}
+	}
+	if auto {
+		resp.Plan = &PlanInfo{Algorithm: ran.Algorithm, EffectiveEpsilon: eps, Reason: ran.Reason}
+	}
+	return resp
 }
 
 // normalizeRequest is the single request-validation point of the Service
@@ -789,49 +780,6 @@ func (s *Service) normalizeRequest(req *Request, st *graphState) *Error {
 			req.Priority, PriorityInteractive, PriorityBatch, PriorityBackground)
 	}
 	return nil
-}
-
-// stampPlan attaches the planner's audit block to the final response of
-// an "auto"-routed request. Intermediate stream records carry no Plan —
-// the terminal record is the auditable answer.
-func stampPlan(resp Response, planned *PlanInfo) Response {
-	resp.Plan = planned
-	return resp
-}
-
-// maybeDegrade substitutes a cheaper plan while the overload signal
-// fires, for requests that opted in (AllowDegraded) and services that
-// allow it. One step per request: epsilon loosens one quantization
-// octave while the doubled value stays under BrownoutMaxEpsilon, else
-// the algorithm steps down the degrade ladder. Requests without the
-// opt-in pass through untouched — their answers stay bit-exact under
-// any load (the brownout determinism carve-out, DESIGN §12).
-func (s *Service) maybeDegrade(req Request) (Request, bool) {
-	if !req.AllowDegraded || s.opts.DisableBrownout || !s.queue.overloaded() {
-		return req, false
-	}
-	if req.Epsilon > 0 && s.opts.BrownoutMaxEpsilon > 0 && 2*req.Epsilon <= s.opts.BrownoutMaxEpsilon {
-		req.Epsilon *= 2
-		return req, true
-	}
-	if next, ok := s.degradeLadder[req.Algorithm]; ok {
-		req.Algorithm = next
-		return req, true
-	}
-	return req, false
-}
-
-// markDegraded stamps a brownout answer and counts it (successes only —
-// a degraded plan that still failed degraded nobody's accuracy).
-func (s *Service) markDegraded(resp Response, degraded bool) Response {
-	if !degraded {
-		return resp
-	}
-	resp.Degraded = true
-	if resp.Err == nil {
-		s.degradedQueries.Add(1)
-	}
-	return resp
 }
 
 // dispatch queues one request on the worker pool and waits for its

@@ -259,23 +259,67 @@ func TestServiceUnknownPriorityRejected(t *testing.T) {
 }
 
 // TestServiceBrownoutDegrades: under the overload signal an AllowDegraded
-// request is answered by the ladder's cheaper algorithm with
-// Response.Degraded set; a request without the opt-in keeps its exact
-// plan through the same overload.
+// request runs a cheaper plan than it asked for, one step down the
+// planner's ladder — the ε = 0 sentinel loosened to twice the service's
+// base ε, and exactsim at an ε that cannot double within 0.1 stepped to
+// prsim — with Response.Degraded set and counted; a request without the
+// opt-in keeps its exact plan through the same overload.
 func TestServiceBrownoutDegrades(t *testing.T) {
 	registerStallAlgorithm()
 	g := exactsim.GenerateBarabasiAlbert(60, 3, 7)
 	svc, err := exactsim.NewService(g, exactsim.ServiceOptions{
-		Workers: 1, QueueDepth: 1, QueueTarget: -1,
-		DegradeLadder: map[string]string{"exactsim": "mc"}})
+		Workers: 1, QueueDepth: 1, QueueTarget: -1, QueueWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	tripOverload(t, svc)
 
-	// Trip the overload signal: saturate, then shed one submission. The
-	// signal holds for a QueueWindow after the shed, which is the window
-	// the degraded request rides in after release frees the pool.
+	for _, tc := range []struct {
+		eps     float64
+		wantAlg string
+		wantEps float64
+	}{
+		{0, "exactsim", 2 * algo.DefaultEpsilon},
+		{0.08, "prsim", 0.08},
+	} {
+		opted := svc.Query(context.Background(), exactsim.Request{
+			Algorithm: "exactsim", Source: 2, Epsilon: tc.eps, AllowDegraded: true})
+		if opted.Err != nil {
+			t.Fatalf("ε %v: degraded query failed: %v", tc.eps, opted.Err)
+		}
+		if !opted.Degraded {
+			t.Fatalf("ε %v: overloaded AllowDegraded answer not marked degraded: %+v", tc.eps, opted)
+		}
+		if opted.Request.Algorithm != tc.wantAlg || opted.Request.Epsilon != tc.wantEps {
+			t.Fatalf("ε %v: degraded plan = %s at ε %v, want %s at ε %v",
+				tc.eps, opted.Request.Algorithm, opted.Request.Epsilon, tc.wantAlg, tc.wantEps)
+		}
+		if opted.Plan != nil {
+			t.Fatalf("ε %v: a concrete request's answer carries a plan block %+v", tc.eps, *opted.Plan)
+		}
+	}
+	if st := svc.Stats(); st.DegradedQueries != 2 {
+		t.Fatalf("degraded_queries = %d after two degraded answers: %+v", st.DegradedQueries, st)
+	}
+
+	exact := svc.Query(context.Background(), exactsim.Request{
+		Algorithm: "exactsim", Source: 3, NoCache: true})
+	if exact.Err != nil {
+		t.Fatalf("exact query failed: %v", exact.Err)
+	}
+	if exact.Degraded || exact.Request.Algorithm != "exactsim" || exact.Request.Epsilon != 0 {
+		t.Fatalf("non-opted request altered under overload: %+v", exact.Request)
+	}
+}
+
+// tripOverload raises svc's overload signal the way a real overload
+// does: it saturates the single worker, sheds one more submission, then
+// drains the pool. The signal holds for QueueWindow after the shed, so a
+// service built with a window longer than the test keeps it up for
+// every query that follows.
+func tripOverload(t *testing.T, svc *exactsim.Service) {
+	t.Helper()
 	done, release := saturateService(t, svc, exactsim.PriorityBackground, 1)
 	shed := svc.Query(context.Background(), exactsim.Request{
 		Algorithm: stallAlgName, Source: 50, NoCache: true, Priority: exactsim.PriorityBackground})
@@ -287,31 +331,114 @@ func TestServiceBrownoutDegrades(t *testing.T) {
 		<-done
 	}
 	if !svc.Stats().BrownoutActive {
-		t.Skip("overload signal already decayed (slow machine)")
+		t.Fatal("overload signal not raised by a shed")
 	}
+}
 
-	opted := svc.Query(context.Background(), exactsim.Request{
-		Algorithm: "exactsim", Source: 2, AllowDegraded: true})
+// TestServiceOverloadLoosensEpsilon pins the only degraded traffic the
+// repository benchmark sends (overload-churn-db's background class: a
+// concrete exactsim request at ε 0.02 with allow_degraded). Under the
+// overload signal it runs exactsim at ε 0.04, stamped Degraded and
+// counted, and a repeat hits the 0.04 cache line; an exact answer
+// already cached preempts the step; a request that did not opt into
+// degraded answers is never substituted.
+func TestServiceOverloadLoosensEpsilon(t *testing.T) {
+	registerStallAlgorithm()
+	g := exactsim.GenerateBarabasiAlbert(60, 3, 7)
+	svc, err := exactsim.NewService(g, exactsim.ServiceOptions{
+		Workers: 1, QueueDepth: 1, QueueTarget: -1, QueueWindow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+
+	// The exact answer for source 3 is cached before the overload.
+	if r := svc.Query(ctx, exactsim.Request{Algorithm: "exactsim", Source: 3, Epsilon: 0.02}); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	tripOverload(t, svc)
+
+	degradable := exactsim.Request{Algorithm: "exactsim", Source: 2, Epsilon: 0.02,
+		Priority: exactsim.PriorityBackground, AllowDegraded: true}
+	before := svc.Stats().DegradedQueries
+	opted := svc.Query(ctx, degradable)
 	if opted.Err != nil {
 		t.Fatalf("degraded query failed: %v", opted.Err)
 	}
-	if !opted.Degraded {
-		t.Fatalf("overloaded AllowDegraded answer not marked degraded: %+v", opted)
+	if !opted.Degraded || opted.CacheHit {
+		t.Fatalf("overloaded request: degraded=%v hit=%v, want a degraded computation", opted.Degraded, opted.CacheHit)
 	}
-	if opted.Request.Algorithm != "mc" {
-		t.Fatalf("degraded plan = %q, want ladder step mc", opted.Request.Algorithm)
+	if opted.Request.Algorithm != "exactsim" || opted.Request.Epsilon != 0.04 {
+		t.Fatalf("ran %s at ε %v, want exactsim at the loosened 0.04", opted.Request.Algorithm, opted.Request.Epsilon)
 	}
-	if st := svc.Stats(); st.DegradedQueries == 0 {
-		t.Fatalf("degraded_queries = 0 after a brownout answer: %+v", st)
+	if got := svc.Stats().DegradedQueries; got != before+1 {
+		t.Fatalf("degraded_queries = %d, want %d", got, before+1)
+	}
+	repeat := svc.Query(ctx, degradable)
+	if repeat.Err != nil || !repeat.CacheHit || !repeat.Degraded || repeat.Request.Epsilon != 0.04 {
+		t.Fatalf("repeat: hit=%v degraded=%v ε=%v err=%v, want a degraded hit on the 0.04 line",
+			repeat.CacheHit, repeat.Degraded, repeat.Request.Epsilon, repeat.Err)
 	}
 
-	exact := svc.Query(context.Background(), exactsim.Request{
-		Algorithm: "exactsim", Source: 3, NoCache: true})
-	if exact.Err != nil {
-		t.Fatalf("exact query failed: %v", exact.Err)
+	degradable.Source = 3
+	preempted := svc.Query(ctx, degradable)
+	if preempted.Err != nil || !preempted.CacheHit || preempted.Degraded || preempted.Request.Epsilon != 0.02 {
+		t.Fatalf("cached exact answer: hit=%v degraded=%v ε=%v err=%v, want the exact 0.02 hit",
+			preempted.CacheHit, preempted.Degraded, preempted.Request.Epsilon, preempted.Err)
 	}
-	if exact.Degraded || exact.Request.Algorithm != "exactsim" {
-		t.Fatalf("non-opted request altered under overload: %+v", exact.Request)
+
+	partial := svc.Query(ctx, exactsim.Request{Algorithm: "exactsim", Source: 4, Epsilon: 0.02,
+		NoCache: true, AllowPartial: true})
+	if partial.Err != nil || partial.Degraded || partial.Request.Algorithm != "exactsim" || partial.Request.Epsilon != 0.02 {
+		t.Fatalf("allow_partial request substituted under overload: %+v err=%v", partial.Request, partial.Err)
+	}
+	strict := svc.Query(ctx, exactsim.Request{Algorithm: exactsim.AlgorithmAuto, Source: 5, Epsilon: 0.02, NoCache: true})
+	if strict.Err != nil {
+		t.Fatal(strict.Err)
+	}
+	want := exactsim.PlanInfo{Algorithm: "exactsim", EffectiveEpsilon: 0.02, Reason: "small-graph-default"}
+	if strict.Degraded || strict.Plan == nil || *strict.Plan != want ||
+		strict.Request.Algorithm != "exactsim" || strict.Request.Epsilon != 0.02 {
+		t.Fatalf("strict auto request under overload: plan %+v request %+v degraded=%v, want %+v unstamped",
+			strict.Plan, strict.Request, strict.Degraded, want)
+	}
+	if !svc.Stats().BrownoutActive {
+		t.Fatal("overload signal decayed mid-test; the unsubstituted answers above prove nothing")
+	}
+}
+
+// TestServiceOverloadPlanNamesWhatRan: an "auto" request with
+// allow_degraded, answered under the overload signal, carries a plan
+// block naming the method and effective ε that actually ran, with the
+// overload reason. The ε = 0 sentinel loosens too: to twice the
+// service's base ε.
+func TestServiceOverloadPlanNamesWhatRan(t *testing.T) {
+	registerStallAlgorithm()
+	g := exactsim.GenerateBarabasiAlbert(60, 3, 7)
+	svc, err := exactsim.NewService(g, exactsim.ServiceOptions{
+		Workers: 1, QueueDepth: 1, QueueTarget: -1, QueueWindow: time.Hour,
+		QuerierOptions: []exactsim.QuerierOption{exactsim.WithEpsilon(0.01)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	tripOverload(t, svc)
+
+	for _, tc := range []struct{ eps, ran float64 }{{0, 0.02}, {0.05, 0.1}} {
+		r := svc.Query(context.Background(), exactsim.Request{Algorithm: exactsim.AlgorithmAuto,
+			Source: 2, Epsilon: tc.eps, NoCache: true, AllowDegraded: true})
+		if r.Err != nil {
+			t.Fatalf("ε %v: %v", tc.eps, r.Err)
+		}
+		want := exactsim.PlanInfo{Algorithm: "exactsim", EffectiveEpsilon: tc.ran, Reason: "overload-loosen"}
+		if r.Plan == nil || *r.Plan != want {
+			t.Fatalf("ε %v: plan %+v, want %+v", tc.eps, r.Plan, want)
+		}
+		if r.Request.Algorithm != r.Plan.Algorithm || r.Request.Epsilon != r.Plan.EffectiveEpsilon || !r.Degraded {
+			t.Fatalf("ε %v: ran %s at ε %v (degraded=%v), plan says %+v",
+				tc.eps, r.Request.Algorithm, r.Request.Epsilon, r.Degraded, *r.Plan)
+		}
 	}
 }
 

@@ -84,48 +84,3 @@ func (t *latencyTracker) samples() int {
 	defer t.mu.Unlock()
 	return len(t.buf)
 }
-
-// hedgeBudget is the token bucket bounding hedged requests, the mirror
-// of httpapi's retry budget one tier up: each hedge launch spends one
-// token, each successful un-hedged query earns ratio back, capped at
-// burst. At steady state hedges are bounded to ~ratio of traffic — a
-// fleet whose every query is slow stops earning tokens and stops
-// hedging, instead of doubling the offered load exactly when capacity
-// ran out. The bucket starts full so a cold router can still rescue
-// early stragglers.
-type hedgeBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	ratio  float64
-	burst  float64
-}
-
-// newHedgeBudget builds a bucket; burst <= 0 disables it (spend always
-// allows).
-func newHedgeBudget(ratio float64, burst int) *hedgeBudget {
-	return &hedgeBudget{tokens: float64(burst), ratio: ratio, burst: float64(burst)}
-}
-
-// spend reports whether a hedge may launch, consuming one token when it
-// does.
-func (h *hedgeBudget) spend() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.burst <= 0 {
-		return true
-	}
-	if h.tokens < 1 {
-		return false
-	}
-	h.tokens--
-	return true
-}
-
-// earn credits the bucket for one successful un-hedged completion.
-func (h *hedgeBudget) earn() {
-	h.mu.Lock()
-	if h.tokens += h.ratio; h.tokens > h.burst {
-		h.tokens = h.burst
-	}
-	h.mu.Unlock()
-}

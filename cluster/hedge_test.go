@@ -57,53 +57,6 @@ func TestLatencyTrackerWindowSlides(t *testing.T) {
 	}
 }
 
-func TestHedgeBudgetSpendAndEarn(t *testing.T) {
-	h := newHedgeBudget(0.5, 2)
-	// The bucket starts full: burst hedges launch, then it runs dry.
-	if !h.spend() || !h.spend() {
-		t.Fatal("a full bucket must fund its burst")
-	}
-	if h.spend() {
-		t.Fatal("an empty bucket must refuse a hedge")
-	}
-	// Two un-hedged successes at ratio 0.5 earn one token back.
-	h.earn()
-	if h.spend() {
-		t.Fatal("half a token must not fund a hedge")
-	}
-	h.earn()
-	if !h.spend() {
-		t.Fatal("a whole earned token must fund exactly one hedge")
-	}
-	if h.spend() {
-		t.Fatal("the earned token was already spent")
-	}
-}
-
-func TestHedgeBudgetEarnCapsAtBurst(t *testing.T) {
-	h := newHedgeBudget(1, 3)
-	for i := 0; i < 100; i++ {
-		h.earn()
-	}
-	for i := 0; i < 3; i++ {
-		if !h.spend() {
-			t.Fatalf("spend %d refused after heavy earning; cap lost tokens it should have kept", i)
-		}
-	}
-	if h.spend() {
-		t.Fatal("earning past the cap must not mint tokens beyond burst")
-	}
-}
-
-func TestHedgeBudgetDisabled(t *testing.T) {
-	h := newHedgeBudget(0.1, 0)
-	for i := 0; i < 64; i++ {
-		if !h.spend() {
-			t.Fatal("burst <= 0 disables the budget; spend must always allow")
-		}
-	}
-}
-
 func TestHedgeBudgetDefaultFundsConfiguredRate(t *testing.T) {
 	// The Options default ties the earn rate to the hedge quantile: at
 	// quantile q, ~((1-q)) of queries hedge, and each of the other ~q

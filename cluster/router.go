@@ -9,6 +9,7 @@ import (
 
 	exactsim "github.com/exactsim/exactsim"
 	"github.com/exactsim/exactsim/httpapi"
+	"github.com/exactsim/exactsim/internal/tokenbucket"
 )
 
 // Router fans SimRank queries across a fleet of exactsimd backends. It
@@ -35,9 +36,8 @@ type Router struct {
 	tracker *latencyTracker
 
 	// hedgeBudget bounds hedge launches to ~HedgeBudgetRatio of
-	// successful traffic so hedging cannot amplify a fleet-wide overload
-	// (see hedge.go).
-	hedgeBudget *hedgeBudget
+	// successful traffic so hedging cannot amplify a fleet-wide overload.
+	hedgeBudget *tokenbucket.Bucket
 
 	clientCfg httpapiClientConfig
 
@@ -65,7 +65,7 @@ func New(backendURLs []string, opts Options) (*Router, error) {
 	r := &Router{
 		opts:        opts,
 		tracker:     newLatencyTracker(),
-		hedgeBudget: newHedgeBudget(opts.HedgeBudgetRatio, opts.HedgeBudgetBurst),
+		hedgeBudget: tokenbucket.New(opts.HedgeBudgetRatio, opts.HedgeBudgetBurst),
 		clientCfg:   httpapiClientConfig{hc: opts.HTTPClient, retries: opts.ClientRetries},
 	}
 	seen := make(map[string]bool, len(backendURLs))
@@ -286,16 +286,36 @@ func (r *Router) Query(ctx context.Context, req exactsim.Request) exactsim.Respo
 // answer: a success comes back as the replica's 200 body, verbatim, and
 // anything else as a nil body and the error Response.
 func (r *Router) relay(ctx context.Context, req exactsim.Request) ([]byte, exactsim.Response) {
-	r.queries.Add(1)
-	res := r.route(ctx, req)
-	if res.resp.Err != nil {
-		r.errors.Add(1)
-	}
+	res := r.route(ctx, req, nil)
 	return res.body, res.resp
 }
 
-func (r *Router) route(ctx context.Context, req exactsim.Request) tryResult {
-	// Expired on arrival: a query whose deadline is already gone must
+// QueryStream answers one request through the fleet as a refinement
+// stream: emit receives each intermediate record as its replica produces
+// it, and the returned Response is the terminal answer — bit-identical
+// to what Query would return for the same request. Streams are never
+// hedged (two replicas would double-deliver refinements) and retry on
+// the next ring candidate only while nothing has reached emit yet; once
+// a refinement is out, replaying the ladder from another replica would
+// hand the caller the same tiers twice, so a later failure is final.
+// QueryStream returns only after its last call to emit.
+func (r *Router) QueryStream(ctx context.Context, req exactsim.Request, emit func(exactsim.Response)) exactsim.Response {
+	if emit == nil {
+		emit = func(exactsim.Response) {}
+	}
+	return r.route(ctx, req, emit).resp
+}
+
+// route sends one request through the fleet, a query when emit is nil
+// and a stream otherwise, and counts it.
+func (r *Router) route(ctx context.Context, req exactsim.Request, emit func(exactsim.Response)) (res tryResult) {
+	r.queries.Add(1)
+	defer func() {
+		if res.resp.Err != nil {
+			r.errors.Add(1)
+		}
+	}()
+	// Expired on arrival: a request whose deadline is already gone must
 	// not spend a candidate walk, let alone wire attempts.
 	if err := ctx.Err(); err != nil {
 		return tryResult{resp: exactsim.Response{Request: req, Err: exactsim.ToError(err)}}
@@ -307,7 +327,7 @@ func (r *Router) route(ctx context.Context, req exactsim.Request) tryResult {
 	if len(cands) > r.opts.MaxAttempts {
 		cands = cands[:r.opts.MaxAttempts]
 	}
-	return r.race(ctx, cands, req)
+	return r.race(ctx, cands, req, emit)
 }
 
 // pickError converts a pick failure into the wire unavailable, counting
@@ -326,9 +346,8 @@ func (r *Router) pickError(err error) *exactsim.Error {
 	return e
 }
 
-// tryResult is one replica attempt's outcome: a success as the replica's
-// 200 body (the streaming path decodes it into resp instead), anything
-// else as the error Response.
+// tryResult is one replica attempt's outcome: a query's success as the
+// replica's 200 body, a stream's terminal record or any error as resp.
 type tryResult struct {
 	body      []byte
 	resp      exactsim.Response
@@ -337,13 +356,17 @@ type tryResult struct {
 	latency   time.Duration
 }
 
-// race runs the attempt loop for one query: launch on the primary; on
-// failure, retry the next candidate; if the attempt outlives the hedge
-// delay, race the next candidate concurrently and take the first
-// answer. Losing attempts are cancelled. Replica determinism is what
-// makes taking "whichever answered first" sound: both would have
-// returned bit-identical scores.
-func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Request) tryResult {
+// race runs the attempt loop for one request: launch on the primary; on
+// a retryable failure, launch the next candidate; if a query's attempt
+// outlives the hedge delay, race the next candidate concurrently and
+// take the first answer. Losing attempts are cancelled. Replica
+// determinism is what makes taking "whichever answered first" sound:
+// both would have returned bit-identical scores.
+//
+// A stream (non-nil emit) is never hedged, and it waits for its running
+// attempt instead of returning at ctx's end: the attempt observes ctx
+// and ends, so emit is never called after race returns.
+func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Request, emit func(exactsim.Response)) tryResult {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -358,26 +381,30 @@ func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Reques
 		next++
 		outstanding++
 		go func() {
-			results <- r.tryOne(rctx, b, req, hedge)
+			results <- r.tryOne(rctx, b, req, hedge, emit)
 		}()
 		return true
 	}
 	launch(false)
 
+	stream := emit != nil
 	var hedgeC <-chan time.Time
-	var hedgeTimer *time.Timer
-	if !r.opts.DisableHedging && len(cands) > 1 {
+	if !stream && !r.opts.DisableHedging && len(cands) > 1 {
 		if d, ok := r.hedgeDelay(); ok {
-			hedgeTimer = time.NewTimer(d)
+			hedgeTimer := time.NewTimer(d)
 			defer hedgeTimer.Stop()
 			hedgeC = hedgeTimer.C
 		}
+	}
+	var done <-chan struct{}
+	if !stream {
+		done = ctx.Done()
 	}
 
 	var last tryResult
 	for {
 		select {
-		case <-ctx.Done():
+		case <-done:
 			return tryResult{resp: exactsim.Response{Request: req, Err: exactsim.ToError(ctx.Err())}}
 		case <-hedgeC:
 			hedgeC = nil
@@ -385,7 +412,7 @@ func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Reques
 			// says whether the fleet can afford a speculative double-send.
 			// When recent traffic has not banked enough successes, the
 			// hedge is suppressed and the primary rides out alone.
-			if !r.hedgeBudget.spend() {
+			if !r.hedgeBudget.Spend() {
 				r.hedgeSuppressed.Add(1)
 				continue
 			}
@@ -399,8 +426,8 @@ func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Reques
 					r.tracker.record(res.latency)
 					if res.hedge {
 						r.hedgeWins.Add(1)
-					} else {
-						r.hedgeBudget.earn()
+					} else if !stream {
+						r.hedgeBudget.Earn()
 					}
 				}
 				return res
@@ -419,14 +446,16 @@ func (r *Router) race(ctx context.Context, cands []*backend, req exactsim.Reques
 	}
 }
 
-// tryOne sends req to b once. Transport failures and retryable protocol
-// codes (unavailable, closed, internal) report retryable; everything
-// else — success, invalid_argument, not_found, deadline — is final.
+// tryOne sends req to b once: as a query when emit is nil, else as a
+// stream whose records go to emit. Transport failures and retryable
+// protocol codes (unavailable, closed, internal) report retryable;
+// everything else — success, invalid_argument, not_found, deadline — is
+// final, and so is any outcome of a stream that already reached emit.
 // The breaker brackets the exchange: acquire gates the send (arbitrating
 // the half-open probe), and the transport outcome feeds back — except
 // when ctx was cancelled, because a hedge loser's abort says nothing
 // about the replica's transport and must not trip its breaker.
-func (r *Router) tryOne(ctx context.Context, b *backend, req exactsim.Request, hedge bool) tryResult {
+func (r *Router) tryOne(ctx context.Context, b *backend, req exactsim.Request, hedge bool, emit func(exactsim.Response)) tryResult {
 	if r.opts.breakerEnabled() && !b.brk.acquire(time.Now(), r.opts.BreakerCooldown) {
 		// Raced open between pick and send (or lost the half-open probe
 		// slot): fail fast without touching the wire.
@@ -440,9 +469,24 @@ func (r *Router) tryOne(ctx context.Context, b *backend, req exactsim.Request, h
 	}
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
-	start := time.Now()
-	body, resp, err := b.client.QueryBody(ctx, req)
-	lat := time.Since(start)
+	var (
+		res     = tryResult{hedge: hedge}
+		err     error
+		emitted bool
+		start   = time.Now()
+	)
+	if emit == nil {
+		res.body, res.resp, err = b.client.QueryBody(ctx, req)
+	} else {
+		res.resp, err = b.client.QueryStream(ctx, req, func(rec exactsim.Response) {
+			emitted = true
+			emit(rec)
+		})
+	}
+	res.latency = time.Since(start)
+	// Once a record is out, replaying the ladder elsewhere would hand the
+	// caller the same tiers twice.
+	retryable := ctx.Err() == nil && !emitted
 	if err != nil {
 		// Transport failure (dial refused, connection cut mid-body, a
 		// 200 body that fails the JSON scan, or our own cancellation when
@@ -450,23 +494,20 @@ func (r *Router) tryOne(ctx context.Context, b *backend, req exactsim.Request, h
 		if r.opts.breakerEnabled() && ctx.Err() == nil {
 			b.brk.result(false, r.opts.BreakerThreshold, time.Now())
 		}
-		return tryResult{
-			resp: exactsim.Response{Request: req,
-				Err: exactsim.Errorf(exactsim.CodeUnavailable, "cluster: %s: %v", b.url, err)},
-			retryable: ctx.Err() == nil,
-			hedge:     hedge,
-			latency:   lat,
-		}
+		res.resp = exactsim.Response{Request: req,
+			Err: exactsim.Errorf(exactsim.CodeUnavailable, "cluster: %s: %v", b.url, err)}
+		res.retryable = retryable
+		return res
 	}
-	// Any intact protocol response — a scanned success body or a decoded
-	// error — proves the transport works.
+	// Any intact protocol response — a success or a decoded error —
+	// proves the transport works.
 	if r.opts.breakerEnabled() {
 		b.brk.result(true, r.opts.BreakerThreshold, time.Now())
 	}
-	if resp.Err != nil && retryableCode(resp.Err.Code) && ctx.Err() == nil {
-		return tryResult{resp: resp, retryable: true, hedge: hedge, latency: lat}
-	}
-	return tryResult{body: body, resp: resp, hedge: hedge, latency: lat}
+	// A protocol error comes without a body, so a retryable reply never
+	// carries one.
+	res.retryable = res.resp.Err != nil && retryableCode(res.resp.Err.Code) && retryable
+	return res
 }
 
 // retryableCode reports whether another replica could plausibly answer
@@ -495,94 +536,6 @@ func (r *Router) hedgeDelay() (time.Duration, bool) {
 		d = r.opts.HedgeMaxDelay
 	}
 	return d, true
-}
-
-// QueryStream answers one request through the fleet as a refinement
-// stream: emit receives each intermediate record as its replica produces
-// it, and the returned Response is the terminal answer — bit-identical
-// to what Query would return for the same request. Streams are never
-// hedged (two replicas would double-deliver refinements) and retry on
-// the next ring candidate only while nothing has reached emit yet; once
-// a refinement is out, replaying the ladder from another replica would
-// hand the caller the same tiers twice, so a later failure is final.
-func (r *Router) QueryStream(ctx context.Context, req exactsim.Request, emit func(exactsim.Response)) exactsim.Response {
-	r.queries.Add(1)
-	resp := r.routeStream(ctx, req, emit)
-	if resp.Err != nil {
-		r.errors.Add(1)
-	}
-	return resp
-}
-
-func (r *Router) routeStream(ctx context.Context, req exactsim.Request, emit func(exactsim.Response)) exactsim.Response {
-	if emit == nil {
-		emit = func(exactsim.Response) {}
-	}
-	if err := ctx.Err(); err != nil {
-		return exactsim.Response{Request: req, Err: exactsim.ToError(err)}
-	}
-	cands, err := r.pick(req.Source, priorityRank(req.Priority))
-	if err != nil {
-		return exactsim.Response{Request: req, Err: r.pickError(err)}
-	}
-	if len(cands) > r.opts.MaxAttempts {
-		cands = cands[:r.opts.MaxAttempts]
-	}
-	var last exactsim.Response
-	for i, b := range cands {
-		emitted := false
-		res := r.tryOneStream(ctx, b, req, func(rec exactsim.Response) {
-			emitted = true
-			emit(rec)
-		})
-		if !res.retryable || emitted {
-			if res.resp.Err == nil {
-				r.tracker.record(res.latency)
-			}
-			return res.resp
-		}
-		last = res.resp
-		if i+1 < len(cands) {
-			r.retries.Add(1)
-		}
-	}
-	return last
-}
-
-// tryOneStream is tryOne for the streaming endpoint: same breaker
-// bracketing and retryability classification, no hedge accounting.
-func (r *Router) tryOneStream(ctx context.Context, b *backend, req exactsim.Request, emit func(exactsim.Response)) tryResult {
-	if r.opts.breakerEnabled() && !b.brk.acquire(time.Now(), r.opts.BreakerCooldown) {
-		r.breakerSkips.Add(1)
-		return tryResult{
-			resp: exactsim.Response{Request: req,
-				Err: exactsim.Errorf(exactsim.CodeUnavailable, "cluster: %s: circuit breaker open", b.url)},
-			retryable: ctx.Err() == nil,
-		}
-	}
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	start := time.Now()
-	resp, err := b.client.QueryStream(ctx, req, emit)
-	lat := time.Since(start)
-	if err != nil {
-		if r.opts.breakerEnabled() && ctx.Err() == nil {
-			b.brk.result(false, r.opts.BreakerThreshold, time.Now())
-		}
-		return tryResult{
-			resp: exactsim.Response{Request: req,
-				Err: exactsim.Errorf(exactsim.CodeUnavailable, "cluster: %s: %v", b.url, err)},
-			retryable: ctx.Err() == nil,
-			latency:   lat,
-		}
-	}
-	if r.opts.breakerEnabled() {
-		b.brk.result(true, r.opts.BreakerThreshold, time.Now())
-	}
-	if resp.Err != nil && retryableCode(resp.Err.Code) && ctx.Err() == nil {
-		return tryResult{resp: resp, retryable: true, latency: lat}
-	}
-	return tryResult{resp: resp, latency: lat}
 }
 
 // Batch answers many requests through the fleet, responses aligned with

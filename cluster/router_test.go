@@ -26,7 +26,7 @@ var _ exactsim.Querier = (*cluster.Router)(nil)
 // transport-level failure.
 type gate struct {
 	down       atomic.Bool
-	delay      atomic.Int64 // per-query straggler injection, nanoseconds
+	delay      atomic.Int64 // straggler injection on queries and streams, nanoseconds
 	delayEvery atomic.Int64 // stall only every Nth query (≤1 = every query)
 	queryN     atomic.Int64
 	serial     atomic.Bool // serialize queries: delay models per-replica capacity
@@ -44,8 +44,15 @@ type gate struct {
 	// double-computed.
 	abortEvery atomic.Int64
 	abortN     atomic.Int64
-	next       http.Handler
+	// cutStream makes /v1/query/stream answer 200 with one refinement
+	// record (cutRecord) and then cut the connection before the final
+	// record: a replica dying mid-ladder.
+	cutStream atomic.Bool
+	next      http.Handler
 }
+
+// cutRecord is the one refinement a cutStream replica writes.
+var cutRecord = exactsim.Response{Partial: true, AchievedEpsilon: 0.064}
 
 func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if g.down.Load() {
@@ -66,7 +73,14 @@ func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if r.URL.Path == "/v1/query" {
+	if g.cutStream.Load() && r.URL.Path == "/v1/query/stream" {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		json.NewEncoder(w).Encode(httpapi.StreamRecord{Response: cutRecord})
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}
+	if r.URL.Path == "/v1/query" || r.URL.Path == "/v1/query/stream" {
 		if g.serial.Load() {
 			// One query at a time: the injected delay becomes this
 			// replica's service time, so fleet throughput is capacity ×

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	exactsim "github.com/exactsim/exactsim"
 	"github.com/exactsim/exactsim/cluster"
@@ -63,6 +65,169 @@ func TestRouterQueryStream(t *testing.T) {
 		if math.Float64bits(final.Result.Scores[i]) != math.Float64bits(plain.Result.Scores[i]) {
 			t.Fatalf("routed stream and routed query diverge at %d", i)
 		}
+	}
+}
+
+// streamFleet boots n replicas of the stream tests' graph behind a
+// manually polled router.
+func streamFleet(t *testing.T, n int, opts cluster.Options) ([]*member, *cluster.Router) {
+	t.Helper()
+	g := exactsim.GenerateBarabasiAlbert(250, 3, 42)
+	svcOpts := exactsim.ServiceOptions{
+		Workers:        2,
+		QuerierOptions: []exactsim.QuerierOption{exactsim.WithEpsilon(0.05), exactsim.WithSeed(1)},
+	}
+	members, urls := startFleet(t, g, n, svcOpts)
+	r, err := cluster.New(urls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return members, r
+}
+
+// TestRouterStreamFailoverBeforeFirstRecord: a stream whose ring owner
+// refuses before any record moves to the next candidate, and its final
+// record is bit-identical to the plain query the other replica serves.
+func TestRouterStreamFailoverBeforeFirstRecord(t *testing.T) {
+	members, r := streamFleet(t, 2, manualPollOptions())
+	ctx := context.Background()
+	req := exactsim.Request{Source: 8, Epsilon: 0.016, K: 5, NoCache: true}
+	// The ring owner is the replica that serves a probe while the latency
+	// tracker is cold: no hedge can fire, so exactly one replica answers.
+	if resp := r.Query(ctx, exactsim.Request{Source: req.Source}); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	owner := 0
+	if members[1].svc.Stats().Queries > 0 {
+		owner = 1
+	}
+	// Down at the gate only: membership still holds it healthy (no poll
+	// runs), so the router picks it first and must fail over.
+	members[owner].gate.down.Store(true)
+
+	retries := r.Stats().Retries
+	records := 0
+	final := r.QueryStream(ctx, req, func(exactsim.Response) { records++ })
+	if final.Err != nil {
+		t.Fatalf("stream did not fail over: %v", final.Err)
+	}
+	if got := r.Stats().Retries - retries; got != 1 {
+		t.Fatalf("retries rose by %d, want 1", got)
+	}
+	if records == 0 {
+		t.Fatal("no refinements from the surviving replica")
+	}
+
+	other := members[1-owner].svc.Stats().Queries
+	plain := r.Query(ctx, req)
+	if plain.Err != nil {
+		t.Fatal(plain.Err)
+	}
+	if members[1-owner].svc.Stats().Queries == other {
+		t.Fatal("the plain query was not served by the surviving replica")
+	}
+	if len(final.Result.Scores) != len(plain.Result.Scores) {
+		t.Fatalf("score lengths differ: %d vs %d", len(final.Result.Scores), len(plain.Result.Scores))
+	}
+	for i := range final.Result.Scores {
+		if math.Float64bits(final.Result.Scores[i]) != math.Float64bits(plain.Result.Scores[i]) {
+			t.Fatalf("failed-over stream and plain query diverge at %d", i)
+		}
+	}
+}
+
+// TestRouterStreamNoReplayAfterRecord: once a record has reached emit, a
+// replica dying mid-stream ends the stream with a coded unavailable; the
+// ladder is not replayed on another replica.
+func TestRouterStreamNoReplayAfterRecord(t *testing.T) {
+	members, r := streamFleet(t, 2, manualPollOptions())
+	// Every replica cuts, so a replay would show up as a second record.
+	for _, m := range members {
+		m.gate.cutStream.Store(true)
+	}
+	retries := r.Stats().Retries
+	var got []exactsim.Response
+	final := r.QueryStream(context.Background(),
+		exactsim.Request{Source: 8, Epsilon: 0.001, K: 5, NoCache: true},
+		func(rec exactsim.Response) { got = append(got, rec) })
+	if final.Err == nil || final.Err.Code != exactsim.CodeUnavailable {
+		t.Fatalf("cut stream answered %+v, want a coded unavailable", final.Err)
+	}
+	if len(got) != 1 || !got[0].Partial || got[0].AchievedEpsilon != cutRecord.AchievedEpsilon {
+		t.Fatalf("emit saw %d records (%+v), want exactly the one before the cut", len(got), got)
+	}
+	if d := r.Stats().Retries - retries; d != 0 {
+		t.Fatalf("retries rose by %d after a record was out", d)
+	}
+}
+
+// TestRouterStreamNeverHedged: a straggling stream rides out alone with
+// a warm tracker; it neither launches a hedge nor touches the hedge
+// budget.
+func TestRouterStreamNeverHedged(t *testing.T) {
+	opts := manualPollOptions()
+	opts.HedgeMinDelay = 2 * time.Millisecond
+	opts.HedgeQuantile = 0.5
+	members, r := streamFleet(t, 2, opts)
+	ctx := context.Background()
+	// Warm the tracker past its sample gate, mostly on cache hits.
+	for i := 0; i < 24; i++ {
+		if resp := r.Query(ctx, exactsim.Request{Source: exactsim.NodeID(i % 4)}); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	before := r.Stats()
+	if before.HedgeDelayNanos == 0 {
+		t.Fatal("tracker still cold after warm-up")
+	}
+	for _, m := range members {
+		m.gate.delay.Store(int64(300 * time.Millisecond))
+	}
+	final := r.QueryStream(ctx, exactsim.Request{Source: 42, K: 5}, nil)
+	if final.Err != nil {
+		t.Fatal(final.Err)
+	}
+	after := r.Stats()
+	if after.Hedged != before.Hedged || after.HedgeSuppressed != before.HedgeSuppressed {
+		t.Fatalf("stream hedged: hedged %d→%d, suppressed %d→%d",
+			before.Hedged, after.Hedged, before.HedgeSuppressed, after.HedgeSuppressed)
+	}
+}
+
+// TestRouterStreamNoEmitAfterReturn: QueryStream never returns while an
+// attempt may still call emit, even when ctx is cancelled mid-stream.
+func TestRouterStreamNoEmitAfterReturn(t *testing.T) {
+	_, r := streamFleet(t, 2, manualPollOptions())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var returned, late atomic.Bool
+	firstDone := make(chan struct{})
+	records := 0 // unsynchronized on purpose: the race detector flags a concurrent emit
+	r.QueryStream(ctx, exactsim.Request{Source: 8, Epsilon: 0.001, K: 5, NoCache: true},
+		func(exactsim.Response) {
+			if returned.Load() {
+				late.Store(true)
+			}
+			records++
+			if records == 1 {
+				cancel()
+				// Hold the first record past the cancellation: a router
+				// that abandoned its running attempt returns meanwhile.
+				time.Sleep(50 * time.Millisecond)
+				if returned.Load() {
+					late.Store(true)
+				}
+				close(firstDone)
+			}
+		})
+	returned.Store(true)
+	if records == 0 {
+		t.Fatal("the stream ended before its first record")
+	}
+	<-firstDone
+	if late.Load() {
+		t.Fatal("emit ran after QueryStream returned")
 	}
 }
 

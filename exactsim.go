@@ -22,7 +22,7 @@
 // Querier interface with context-based cancellation. For concurrent
 // multi-user traffic, wrap the graph in a Service (worker pool, per-query
 // deadlines, epoch-keyed LRU result cache, batching, live graph updates
-// via Update/ServeDynamic):
+// via Update):
 //
 //	svc, _ := exactsim.NewService(g, exactsim.ServiceOptions{})
 //	defer svc.Close()

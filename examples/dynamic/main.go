@@ -2,10 +2,10 @@
 // paper notes in §4: ExactSim "can handle dynamic graphs" because after
 // edge updates a query on a fresh snapshot is exact with zero
 // maintenance. Here that property is wired all the way into the serving
-// layer: a Service subscribed to a DynamicGraph (ServeDynamic) swaps in
-// each published snapshot under a new epoch without downtime — stale
-// cache lines are evicted, in-flight queries finish on the epoch they
-// started with, and every response says which generation answered it. An
+// layer: a Service installs each committed DynamicGraph snapshot with
+// Update under a new epoch without downtime — stale cache lines are
+// evicted, in-flight queries finish on the epoch they started with, and
+// every response says which generation answered it. An
 // index-based method (MC) built before the updates keeps answering the
 // old graph until it pays a full rebuild.
 //
@@ -29,9 +29,9 @@ func main() {
 	dyn := exactsim.DynamicFrom(g0)
 	fmt.Printf("initial graph: n=%d m=%d\n", dyn.N(), dyn.M())
 
-	// ServeDynamic subscribes the service to the graph: every Publish
-	// installs the fresh snapshot as the next epoch.
-	svc, err := exactsim.ServeDynamic(dyn, exactsim.ServiceOptions{
+	// The service answers on one snapshot of the graph at a time: each
+	// Update installs a fresh snapshot as the next epoch.
+	svc, err := exactsim.NewService(dyn.Snapshot(), exactsim.ServiceOptions{
 		Workers:        4,
 		QuerierOptions: []exactsim.QuerierOption{exactsim.WithEpsilon(1e-3), exactsim.WithSeed(7)},
 	})
@@ -69,7 +69,7 @@ func main() {
 
 	// Update burst: rewire the source's neighborhood towards the current
 	// top hit, making them strongly similar. The service keeps answering
-	// throughout; nothing changes until Publish commits the batch.
+	// throughout; nothing changes until Update commits the batch.
 	target := before.TopK[0].Idx
 	added := 0
 	for _, v := range dyn.Snapshot().OutNeighbors(target) {
@@ -77,13 +77,16 @@ func main() {
 			added++
 		}
 	}
-	dyn.Publish()
-	fmt.Printf("\napplied %d edge insertions and published — service epoch is now %d\n",
-		added, svc.Epoch())
+	epoch, err := svc.Update(dyn.Snapshot())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\napplied %d edge insertions and committed them — service epoch is now %d\n",
+		added, epoch)
 
 	// The same request again: the pre-update cache line is gone (epoch-
 	// keyed), the answer is exact on the new graph, zero maintenance paid.
-	query("after publish (fresh epoch, zero maintenance)")
+	query("after update (fresh epoch, zero maintenance)")
 
 	// The stale index still reports pre-update similarities.
 	staleTop, _, err := staleIndex.TopK(ctx, source, k)
@@ -95,6 +98,6 @@ func main() {
 		fmt.Printf("  %d. node %-6d s = %.6f\n", rank+1, e.Idx, e.Val)
 	}
 	fmt.Println("\nExactSim needed no rebuild: it is index-free, so the live service")
-	fmt.Println("serves the updated similarities exactly, from the moment of Publish.")
+	fmt.Println("serves the updated similarities exactly, from the moment of Update.")
 	fmt.Println("The MC index must be rebuilt from scratch to notice the new edges.")
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	exactsim "github.com/exactsim/exactsim"
+	"github.com/exactsim/exactsim/internal/tokenbucket"
 )
 
 // sharedTransport is the pooled transport every Client constructed
@@ -82,11 +83,11 @@ type Client struct {
 	// At steady state retries are bounded to ~budgetRatio of traffic, so
 	// a saturated fleet sees at most (1+ratio)× its offered load instead
 	// of a (1+retries)× retry storm. budgetBurst <= 0 disables the budget
-	// (WithRetryBudget(-1, 0)).
-	budgetMu     sync.Mutex
-	budgetTokens float64
-	budgetRatio  float64
-	budgetBurst  float64
+	// (WithRetryBudget(-1, 0)). NewClient builds the bucket once the
+	// options have set its ratio and burst.
+	budgetRatio float64
+	budgetBurst int
+	budget      *tokenbucket.Bucket
 
 	// Monotonic retry accounting (RetryStats): total attempts sent,
 	// retries among them, and retries the exhausted budget suppressed.
@@ -182,9 +183,8 @@ func WithRetryBudget(ratio float64, burst int) ClientOption {
 			c.budgetRatio = ratio
 		}
 		if burst > 0 {
-			c.budgetBurst = float64(burst)
+			c.budgetBurst = burst
 		}
-		c.budgetTokens = c.budgetBurst
 	}
 }
 
@@ -207,30 +207,6 @@ func (c *Client) RetryStats() RetryStats {
 	}
 }
 
-// spendRetryToken reports whether the budget lets another retry go out,
-// consuming one token when it does. A disabled budget always allows.
-func (c *Client) spendRetryToken() bool {
-	c.budgetMu.Lock()
-	defer c.budgetMu.Unlock()
-	if c.budgetBurst <= 0 {
-		return true
-	}
-	if c.budgetTokens < 1 {
-		return false
-	}
-	c.budgetTokens--
-	return true
-}
-
-// earnRetryToken credits the budget for one successful exchange.
-func (c *Client) earnRetryToken() {
-	c.budgetMu.Lock()
-	if c.budgetTokens += c.budgetRatio; c.budgetTokens > c.budgetBurst {
-		c.budgetTokens = c.budgetBurst
-	}
-	c.budgetMu.Unlock()
-}
-
 // NewClient points a client at an exactsimd base URL (scheme + host,
 // e.g. "http://localhost:8640").
 func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
@@ -245,11 +221,11 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 		base: strings.TrimRight(u.String(), "/"), hc: sharedClient,
 		retries: defaultRetries, retryBase: defaultRetryBase, retryCap: defaultRetryCap,
 		budgetRatio: defaultBudgetRatio, budgetBurst: defaultBudgetBurst,
-		budgetTokens: defaultBudgetBurst,
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.budget = tokenbucket.New(c.budgetRatio, c.budgetBurst)
 	return c, nil
 }
 
@@ -438,7 +414,7 @@ func (c *Client) QueryStream(ctx context.Context, req exactsim.Request, emit fun
 				exactsim.Wrapf(exactsim.CodeUnavailable, err, "httpapi: /v1/query/stream ended before the final record")
 		}
 		if rec.Final {
-			c.earnRetryToken()
+			c.budget.Earn()
 			return rec.Response, nil
 		}
 		emit(rec.Response)
@@ -633,13 +609,13 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		}
 		err = c.do(req, out)
 		if err == nil {
-			c.earnRetryToken()
+			c.budget.Earn()
 			return nil
 		}
 		if attempt >= c.retries || !retryableError(err) || ctx.Err() != nil {
 			return err
 		}
-		if !c.spendRetryToken() {
+		if !c.budget.Spend() {
 			c.retriesDeclined.Add(1)
 			return err
 		}

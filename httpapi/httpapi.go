@@ -48,7 +48,8 @@ import (
 // the deadline semantics live here, once:
 //
 // TimeoutMillis, when positive, bounds the request server-side: the
-// server derives a context deadline from it (clamped by its MaxTimeout),
+// server derives a context deadline from it (clamped by its MaxTimeout;
+// a query that sets allow_partial keeps a tenth back for its reply),
 // so cancellation reaches inside the algorithms' computation loops.
 // The Client fills it from the caller's context deadline automatically,
 // and RE-fills it on every retry with the *remaining* budget — each

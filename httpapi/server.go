@@ -133,7 +133,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
 		return
 	}
-	ctx, cancel := s.requestContext(r.Context(), qr.TimeoutMillis)
+	ctx, cancel := s.queryContext(r.Context(), &qr)
 	defer cancel()
 	// Expired on arrival (a sub-millisecond wire budget, or a caller gone
 	// before decode finished): answer without touching the worker pool.
@@ -179,7 +179,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
 		return
 	}
-	ctx, cancel := s.requestContext(r.Context(), qr.TimeoutMillis)
+	ctx, cancel := s.queryContext(r.Context(), &qr)
 	defer cancel()
 	if e := expiredOnArrival(ctx); e != nil {
 		writeJSON(w, StatusOf(e), exactsim.Response{Request: qr.Body, Err: e})
@@ -406,6 +406,21 @@ func (s *Server) requestContext(ctx context.Context, timeoutMillis int64) (conte
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, timeout)
+}
+
+// queryContext is requestContext for one query or stream. The wire
+// deadline counts from handler entry, so it falls at or after the
+// caller's own; a best-so-far answer cut at that moment would reach a
+// caller that has already given up. A request that accepts one
+// (allow_partial) is therefore cut a tenth of its wire budget early,
+// leaving that tenth for the reply. Strict requests keep their full
+// budget.
+func (s *Server) queryContext(ctx context.Context, qr *QueryRequest) (context.Context, context.CancelFunc) {
+	ms := qr.TimeoutMillis
+	if qr.Body.AllowPartial {
+		ms -= ms / 10
+	}
+	return s.requestContext(ctx, ms)
 }
 
 // decode reads one JSON body under the size bound. A failure is reported

@@ -167,6 +167,26 @@ func TestHTTPQueryStreamPartialDeadline(t *testing.T) {
 	}
 }
 
+// TestHTTPQueryPartialDeadline: the plain endpoint's twin of
+// TestHTTPQueryStreamPartialDeadline — an opted-in query under a tight
+// wire deadline answers a Partial best-so-far before the client's
+// deadline, never deadline_exceeded.
+func TestHTTPQueryPartialDeadline(t *testing.T) {
+	_, _, c := loopback(t, exactsim.ServiceOptions{Workers: 1}, httpapi.ServerOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	resp, err := c.Query(ctx, exactsim.Request{Source: 5, Epsilon: 2.5e-4, AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != nil {
+		t.Fatalf("opted-in query errored: %v", resp.Err)
+	}
+	if !resp.Partial || resp.AchievedEpsilon <= 0 || resp.Result == nil {
+		t.Fatalf("answer not best-so-far: partial=%v achieved=%g", resp.Partial, resp.AchievedEpsilon)
+	}
+}
+
 // TestHTTPAlgorithmsInfo: the capability surface carries one caps+cost
 // row per registry method, and the client caches it — repeated calls
 // cost one upstream round trip total.

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // DynamicGraph maintains a mutable edge set with cheap snapshots to the
@@ -20,13 +19,6 @@ type DynamicGraph struct {
 	out      [][]int32
 	m        int
 	snapshot *Graph // invalidated by mutations
-
-	// Subscribers receive each published snapshot (see Publish). The map
-	// has its own lock so Subscribe/cancel may be called from goroutines
-	// other than the mutating one (e.g. a Service closing).
-	subMu  sync.Mutex
-	subs   map[int]func(*Graph)
-	subSeq int
 }
 
 // NewDynamic returns an empty dynamic graph with n nodes.
@@ -149,50 +141,4 @@ func (d *DynamicGraph) Snapshot() *Graph {
 	}
 	d.snapshot = b.Build()
 	return d.snapshot
-}
-
-// Subscribe registers fn to receive every snapshot passed to Publish and
-// returns a cancel function that removes the registration. Callbacks run
-// synchronously on the publishing goroutine, in unspecified order.
-func (d *DynamicGraph) Subscribe(fn func(*Graph)) (cancel func()) {
-	d.subMu.Lock()
-	if d.subs == nil {
-		d.subs = make(map[int]func(*Graph))
-	}
-	id := d.subSeq
-	d.subSeq++
-	d.subs[id] = fn
-	d.subMu.Unlock()
-	return func() {
-		d.subMu.Lock()
-		delete(d.subs, id)
-		d.subMu.Unlock()
-	}
-}
-
-// Publish freezes the current edge set (like Snapshot) and delivers the
-// snapshot to every subscriber — the commit point of a mutation batch.
-// Like the mutators, Publish must be called from the owning goroutine;
-// subscriber callbacks run before it returns, so a subscribed Service
-// already answers on the new snapshot when Publish comes back.
-func (d *DynamicGraph) Publish() *Graph {
-	g := d.Snapshot()
-	d.subMu.Lock()
-	// Deliver in subscription order: map iteration order would make
-	// multi-subscriber delivery (e.g. a Service and a metrics tap)
-	// differ run to run.
-	ids := make([]int, 0, len(d.subs))
-	for id := range d.subs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	fns := make([]func(*Graph), 0, len(ids))
-	for _, id := range ids {
-		fns = append(fns, d.subs[id])
-	}
-	d.subMu.Unlock()
-	for _, fn := range fns {
-		fn(g)
-	}
-	return g
 }

@@ -351,8 +351,6 @@ type Service struct {
 	state atomic.Pointer[graphState]
 	// updateMu serializes Update calls so epochs are strictly increasing.
 	updateMu sync.Mutex
-	// unsubscribe detaches a ServeDynamic subscription on Close.
-	unsubscribe func()
 
 	// queue is the class-aware priority queue feeding the worker pool
 	// (see overload.go): bounded like the old jobs channel, but drained
@@ -530,24 +528,6 @@ func (s *Service) newState(g *Graph, epoch uint64) *graphState {
 		st.diagIdx = NewDiagSampleIndex(s.opts.DiagIndexBytes)
 	}
 	return st
-}
-
-// ServeDynamic starts a query service over d's current snapshot and
-// subscribes to it: every d.Publish() after a mutation batch installs the
-// fresh snapshot via Update, so the service keeps answering — exactly —
-// on the live graph with zero index maintenance. The subscription is
-// detached by Close. The usual DynamicGraph rule applies: mutate and
-// Publish from one goroutine.
-func ServeDynamic(d *DynamicGraph, opts ServiceOptions) (*Service, error) {
-	if d == nil {
-		return nil, Errorf(CodeInvalidArgument, "exactsim: nil dynamic graph")
-	}
-	s, err := NewService(d.Snapshot(), opts)
-	if err != nil {
-		return nil, err
-	}
-	s.unsubscribe = d.Subscribe(func(g *Graph) { s.Update(g) })
-	return s, nil
 }
 
 // Update installs g as the next graph generation and returns its epoch.
@@ -782,11 +762,6 @@ func (s *Service) normalizeRequest(req *Request, st *graphState) *Error {
 	return nil
 }
 
-// dispatch queues one request on the worker pool and waits for its
-// response under ctx (tightened by DefaultTimeout). A request whose
-// budget is already spent — or that the overflowing queue sheds — is
-// answered immediately instead of occupying a slot; it never blocks
-// the submitter.
 // deadlineSpent reports whether ctx's deadline has already passed on the
 // wall clock. Deliberately stricter than ctx.Err(): the runtime timer
 // that cancels a context can fire milliseconds late on a loaded
@@ -797,6 +772,11 @@ func deadlineSpent(ctx context.Context) bool {
 	return ok && !time.Now().Before(dl)
 }
 
+// dispatch queues one request on the worker pool and waits for its
+// response under ctx (tightened by DefaultTimeout). A request whose
+// budget is already spent — or that the overflowing queue sheds — is
+// answered immediately instead of occupying a slot; it never blocks
+// the submitter.
 func (s *Service) dispatch(ctx context.Context, st *graphState, req Request, emit func(Response)) Response {
 	if s.opts.DefaultTimeout > 0 {
 		var cancel context.CancelFunc
@@ -1356,9 +1336,9 @@ func (s *Service) Closed() bool {
 	return s.closed
 }
 
-// Close stops the workers, detaches any ServeDynamic subscription, aborts
-// in-flight index builds and rejects further queries. It blocks until
-// in-flight queries finish; Close is idempotent.
+// Close stops the workers, aborts in-flight index builds and rejects
+// further queries. It blocks until in-flight queries finish; Close is
+// idempotent.
 func (s *Service) Close() {
 	s.closeMu.Lock()
 	if s.closed {
@@ -1368,9 +1348,6 @@ func (s *Service) Close() {
 	s.closed = true
 	s.queue.close()
 	s.closeMu.Unlock()
-	if s.unsubscribe != nil {
-		s.unsubscribe()
-	}
 	s.cancelBuild()
 	s.workers.Wait()
 	if s.graphCloser != nil {

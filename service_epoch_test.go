@@ -150,13 +150,14 @@ func TestServiceLiveUpdateRace(t *testing.T) {
 	}
 }
 
-// TestServeDynamicPublish: a service constructed over a DynamicGraph
-// follows Publish — each published snapshot bumps the epoch and answers
-// reflect the mutated graph with zero index maintenance.
-func TestServeDynamicPublish(t *testing.T) {
+// TestServiceUpdateFromDynamic: a service fed DynamicGraph snapshots
+// through Update — the one way to change its graph — moves its epoch only
+// at the commit, and its next answer is a cache miss computed on the new
+// snapshot, with zero index maintenance.
+func TestServiceUpdateFromDynamic(t *testing.T) {
 	g0 := exactsim.GenerateBarabasiAlbert(200, 3, 9)
 	dyn := exactsim.DynamicFrom(g0)
-	svc, err := exactsim.ServeDynamic(dyn, exactsim.ServiceOptions{
+	svc, err := exactsim.NewService(dyn.Snapshot(), exactsim.ServiceOptions{
 		Workers:        2,
 		QuerierOptions: []exactsim.QuerierOption{exactsim.WithEpsilon(0.1), exactsim.WithSeed(5)},
 	})
@@ -167,35 +168,31 @@ func TestServeDynamicPublish(t *testing.T) {
 
 	before := svc.Query(context.Background(), exactsim.Request{Source: 0})
 	if before.Err != nil || before.GraphEpoch != 1 || len(before.Result.Scores) != g0.N() {
-		t.Fatalf("pre-publish query: err=%v epoch=%d n=%d", before.Err, before.GraphEpoch, len(before.Result.Scores))
+		t.Fatalf("pre-update query: err=%v epoch=%d n=%d", before.Err, before.GraphEpoch, len(before.Result.Scores))
 	}
 
-	// A mutation batch is invisible until Publish...
+	// A mutation batch is invisible until Update commits it...
 	id := dyn.AddNode()
 	dyn.AddEdge(id, 0)
 	dyn.AddEdge(0, id)
 	if svc.Epoch() != 1 {
-		t.Fatal("epoch moved before Publish")
+		t.Fatal("epoch moved before Update")
 	}
-	dyn.Publish()
-
-	if svc.Epoch() != 2 {
-		t.Fatalf("epoch %d after Publish, want 2", svc.Epoch())
+	epoch, err := svc.Update(dyn.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	after := svc.Query(context.Background(), exactsim.Request{Source: id, NoCache: true})
+	if epoch != 2 || svc.Epoch() != 2 {
+		t.Fatalf("epoch %d (service %d) after Update, want 2", epoch, svc.Epoch())
+	}
+	after := svc.Query(context.Background(), exactsim.Request{Source: 0})
 	if after.Err != nil {
 		t.Fatal(after.Err)
 	}
-	if after.GraphEpoch != 2 || len(after.Result.Scores) != g0.N()+1 {
-		t.Fatalf("post-publish query: epoch=%d n=%d, want epoch 2 over n=%d",
-			after.GraphEpoch, len(after.Result.Scores), g0.N()+1)
+	if after.CacheHit || after.GraphEpoch != 2 || len(after.Result.Scores) != g0.N()+1 {
+		t.Fatalf("post-update query: hit=%v epoch=%d n=%d, want a miss at epoch 2 over n=%d",
+			after.CacheHit, after.GraphEpoch, len(after.Result.Scores), g0.N()+1)
 	}
-
-	// Close detaches the subscription: a later Publish must not panic or
-	// resurrect the closed service.
-	svc.Close()
-	dyn.AddEdge(1, 2)
-	dyn.Publish()
 }
 
 // TestServiceQuerierLRUConcurrent: MaxQueriers pressure with single-flight

@@ -76,6 +76,10 @@ func TestFleetChaosConformance(t *testing.T) {
 	}
 	defer ref.Close()
 
+	// The backend clients' own same-replica retries absorb part of the
+	// damage; summed over the seeds, the fleet view must show them.
+	var seedsRun int
+	var backendRetries int64
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
 			members, urls := startFleet(t, g, 3, svcOpts)
@@ -165,9 +169,15 @@ func TestFleetChaosConformance(t *testing.T) {
 			if panics != 0 {
 				t.Fatalf("%d panics recovered under a no-panic schedule — a fault reached code that cannot handle it", panics)
 			}
-			t.Logf("seed %#x: accepted %d/%d, faults %s, retries=%d breaker_skips=%d",
-				seed, accepted.Load(), total, counts.String(), r.Stats().Retries, r.Stats().BreakerSkips)
+			st := r.Stats()
+			t.Logf("seed %#x: accepted %d/%d, faults %s, retries=%d backend_retries=%d breaker_skips=%d",
+				seed, accepted.Load(), total, counts.String(), st.Retries, st.BackendRetries, st.BreakerSkips)
+			seedsRun++
+			backendRetries += st.BackendRetries
 		})
+	}
+	if seedsRun == len(chaosSeeds) && backendRetries == 0 {
+		t.Fatal("backend_retries = 0 over every seed: the backend clients' retries went uncounted")
 	}
 }
 

@@ -34,6 +34,10 @@ type FleetStats struct {
 	Retries   int64 `json:"retries"`
 	Hedged    int64 `json:"hedged"`
 	HedgeWins int64 `json:"hedge_wins"`
+	// BackendRetries sums the same-replica retries each backend client
+	// sends on its own (Options.ClientRetries), inside one of the
+	// router's attempts; Retries does not count them.
+	BackendRetries int64 `json:"backend_retries"`
 	// HedgeSuppressed counts hedge timers that fired but found the hedge
 	// token budget empty — speculative double-sends the router declined
 	// because recent traffic had not banked enough successes.
@@ -105,6 +109,7 @@ func (r *Router) Stats() FleetStats {
 		}
 		bs.BreakerState, bs.BreakerTrips = b.brk.state(now, r.opts.BreakerCooldown)
 		out.BreakerTrips += bs.BreakerTrips
+		out.BackendRetries += b.client.RetryStats().Retries
 		if msg := b.lastPollErr.Load(); msg != nil {
 			bs.LastPollError = *msg
 		}
@@ -117,6 +122,7 @@ func (r *Router) Stats() FleetStats {
 			agg.CachedResults += st.CachedResults
 			agg.QueueDepth += st.QueueDepth
 			agg.InFlight += st.InFlight
+			agg.CPUsLent += st.CPUsLent
 			agg.Queriers += st.Queriers
 			if st.GraphEpoch > agg.GraphEpoch {
 				agg.GraphEpoch = st.GraphEpoch

@@ -100,6 +100,7 @@ func newExactSim(optimized bool) Factory {
 			NoPiSquaredSampling: cfg.NoPiSquaredSampling,
 			NoLocalExploit:      cfg.NoLocalExploit,
 			DiagIndex:           cfg.DiagIndex,
+			Lender:              cfg.Lender,
 		})
 		if err != nil {
 			return nil, err

@@ -57,6 +57,10 @@ type Config struct {
 	// and queriers (see core.Options.DiagIndex). Ignored by the other
 	// algorithms.
 	DiagIndex *diag.SampleIndex
+	// Lender lends ExactSim's diagonal phase the idle CPUs of a query
+	// pool (see core.Options.Lender). Only a Service sets it, and only
+	// the ExactSim adapters read it.
+	Lender *diag.Lender
 }
 
 // MC's default (L, r); shared by defaults() and the mc adapter's

@@ -56,7 +56,8 @@ type Options struct {
 	// the ablation baseline of Figure 9 and Table 3.
 	Optimized bool
 	// Workers bounds parallelism. ≤1 reproduces the paper's single-thread
-	// evaluation mode.
+	// evaluation mode. A Lender may add helpers to the diagonal phase
+	// beyond Workers; answers are bit-identical either way.
 	Workers int
 	// Seed makes every random choice deterministic. Two runs with equal
 	// seeds and options return identical vectors regardless of Workers.
@@ -99,6 +100,10 @@ type Options struct {
 	// variance than the unrounded allowance. Results remain bit-identical
 	// across worker counts, query order, and cache state (cold vs warm).
 	DiagIndex *diag.SampleIndex
+	// Lender, when non-nil, lends the diagonal phase the CPUs its query
+	// pool has idle when the phase starts (see diag.Lender). A Service
+	// attaches its own; direct callers keep exactly Workers goroutines.
+	Lender *diag.Lender
 }
 
 func (o *Options) normalize() error {
@@ -354,7 +359,7 @@ func (e *Engine) singleSourceBasic(ctx context.Context, source graph.NodeID) (*R
 	}
 	dvals, err := diag.BatchCtx(ctx, e.g, reqs, diag.Options{
 		C: c, Improved: false, Workers: e.opt.Workers, Seed: e.opt.Seed,
-		Pool: e.dPool, Index: e.opt.DiagIndex,
+		Pool: e.dPool, Index: e.opt.DiagIndex, Lender: e.opt.Lender,
 	})
 	if err != nil {
 		return nil, err
@@ -465,7 +470,7 @@ func (e *Engine) singleSourceOptimized(ctx context.Context, source graph.NodeID)
 	}
 	dvals, err := diag.BatchCtx(ctx, e.g, reqs, diag.Options{
 		C: c, Improved: !e.opt.NoLocalExploit, Workers: e.opt.Workers, Seed: e.opt.Seed,
-		Pool: e.dPool, Index: e.opt.DiagIndex,
+		Pool: e.dPool, Index: e.opt.DiagIndex, Lender: e.opt.Lender,
 	})
 	if err != nil {
 		return nil, err

@@ -33,6 +33,10 @@
 // that one exploration and sampling overlaps the source node's long one.
 // An exploration never starts a level it cannot afford: each level's edge
 // cost is known before the level runs (see Estimator.explore).
+//
+// The schedule does not care how many goroutines drain it, so a query
+// service lends the run its idle CPUs (Lender): helpers join at the start
+// and leave at a unit boundary when a new query wants the CPU back.
 package diag
 
 import (
@@ -458,6 +462,10 @@ type Options struct {
 	// sampled chunks are interchangeable bit for bit, so the index is a
 	// pure amortization layer: it changes nothing but the walking time.
 	Index *SampleIndex
+	// Lender, when non-nil, adds a helper for every CPU it has idle when
+	// the run starts (see Lender). Like Workers, it changes nothing but
+	// the wall time.
+	Lender *Lender
 }
 
 // EstimatorPool recycles Estimators — and their O(n) accumulator and
@@ -524,8 +532,10 @@ type chunkRef struct {
 // batch is one BatchCtx run. Every work unit is listed before any runs:
 // the explorations, then the sample chunks.
 type batch struct {
+	g    *graph.Graph
 	reqs []Request
 	opt  Options
+	pool *EstimatorPool // nil when opt.Pool does not fit the graph
 	ix   *SampleIndex
 	stop atomic.Bool
 
@@ -543,6 +553,7 @@ type batch struct {
 // worker count.
 func newBatch(g *graph.Graph, reqs []Request, opt Options) *batch {
 	b := &batch{
+		g:     g,
 		reqs:  reqs,
 		opt:   opt,
 		out:   make([]float64, len(reqs)),
@@ -597,37 +608,93 @@ func newBatch(g *graph.Graph, reqs []Request, opt Options) *batch {
 	return b
 }
 
-// run drains the schedule across the estimators, one worker each.
-func (b *batch) run(ests []*Estimator) {
-	if len(ests) == 1 || len(b.explores)+len(b.chunks) <= 1 {
-		b.work(ests[0])
-		return
+// run drains the schedule on the run's workers plus a helper for every
+// CPU l lends (l may be nil), and returns once all of them have stopped.
+// A lone worker runs on the calling goroutine. A panic in any of them
+// stops the run and is raised again on the calling goroutine after the
+// join, where the caller's recover (a Service worker's) contains it.
+func (b *batch) run(workers int, l *Lender) {
+	units := len(b.explores) + len(b.chunks)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	)
+	drain := func(i int, l *Lender) {
+		defer func() {
+			if v := recover(); v != nil {
+				b.stop.Store(true)
+				if l != nil {
+					// Only a return follows a reclaim, so a helper
+					// that panics still holds its CPU.
+					l.giveBack()
+				}
+				mu.Lock()
+				if panicked == nil {
+					panicked = v
+				}
+				mu.Unlock()
+			}
+		}()
+		b.work(i, l)
 	}
-	var wg sync.WaitGroup
-	for _, e := range ests {
+	spawn := func(i int, l *Lender) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.work(e)
+			drain(i, l)
 		}()
 	}
+	if l != nil {
+		for h := workers; h < units && l.borrow(); h++ {
+			spawn(h, l)
+		}
+	}
+	if workers == 1 || units <= 1 {
+		drain(0, nil)
+	} else {
+		for i := range workers {
+			spawn(i, nil)
+		}
+	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // work takes units in schedule order until none are left or the run is
-// cancelled. Every exploration is taken before any chunk, so a chunk only
-// ever waits for an exploration some worker is already running.
-func (b *batch) work(e *Estimator) {
+// cancelled, on an estimator of its own: pooled when the pool fits, seeded
+// by i, though the seed only matters until the first Reseed and every
+// chunk reseeds. Every exploration is taken before any chunk, so a chunk
+// only ever waits for an exploration some worker is already running. A
+// helper on a CPU lent by l (nil for the run's own workers) also stops at
+// a unit boundary once l reclaims the CPU, and otherwise gives it back
+// when it stops.
+func (b *batch) work(i int, l *Lender) {
+	var e *Estimator
+	if b.pool != nil {
+		e = b.pool.get(b.opt.Seed + uint64(i))
+		defer b.pool.put(e)
+	} else {
+		e = NewEstimator(b.g, b.opt.C, b.opt.Seed+uint64(i))
+	}
+	e.SetStop(&b.stop)
 	for !b.stop.Load() {
-		u := int(b.next.Add(1) - 1)
-		switch {
-		case u < len(b.explores):
-			b.explore(e, int(b.explores[u]))
-		case u < len(b.explores)+len(b.chunks):
-			b.sample(e, u-len(b.explores))
-		default:
+		if l != nil && l.reclaimed() {
 			return
 		}
+		u := int(b.next.Add(1) - 1)
+		if u < len(b.explores) {
+			b.explore(e, int(b.explores[u]))
+		} else if u < len(b.explores)+len(b.chunks) {
+			b.sample(e, u-len(b.explores))
+		} else {
+			break
+		}
+	}
+	if l != nil {
+		l.giveBack()
 	}
 }
 
@@ -741,7 +808,9 @@ func Batch(g *graph.Graph, reqs []Request, opt Options) []float64 {
 // early on cancellation) and for nothing else; the chunks of the requests
 // explored first, which finish last, are taken last. Once every unit is
 // done, integer meet counts merge per request (addition of int64s — exact,
-// order-free) and the estimator formula runs once per node.
+// order-free) and the estimator formula runs once per node. Helpers on
+// CPUs lent by Options.Lender take units from the same schedule beside
+// the Workers, and BatchCtx joins them before it returns.
 func BatchCtx(ctx context.Context, g *graph.Graph, reqs []Request, opt Options) ([]float64, error) {
 	workers := max(opt.Workers, 1)
 	b := newBatch(g, reqs, opt)
@@ -751,30 +820,13 @@ func BatchCtx(ctx context.Context, g *graph.Graph, reqs []Request, opt Options) 
 	unwatch := context.AfterFunc(ctx, func() { b.stop.Store(true) })
 	defer unwatch()
 
-	pool := opt.Pool
-	if pool != nil && (pool.g != g || pool.c != opt.C) {
-		pool = nil
+	if p := opt.Pool; p != nil && p.g == g && p.c == opt.C {
+		b.pool = p
 	}
 	if opt.Index != nil && opt.Index.bind(g, opt.C, opt.Seed) {
 		b.ix = opt.Index
 	}
-	ests := make([]*Estimator, workers)
-	for i := range ests {
-		if pool != nil {
-			ests[i] = pool.get(opt.Seed + uint64(i))
-		} else {
-			ests[i] = NewEstimator(g, opt.C, opt.Seed+uint64(i))
-		}
-		ests[i].SetStop(&b.stop)
-	}
-	if pool != nil {
-		defer func() {
-			for _, e := range ests {
-				pool.put(e)
-			}
-		}()
-	}
-	b.run(ests)
+	b.run(workers, opt.Lender)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package diag
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -253,16 +254,109 @@ func TestBatchFatRequestSerialParallelIdentical(t *testing.T) {
 		{Node: 9, Samples: chunkSamples}, // exactly one chunk
 		capped,
 	}
+	// The reclaim case needs a schedule long enough to catch the helper
+	// in: one-chunk requests in place of the capped one, whose exploration
+	// would only slow the test.
+	long := append([]Request(nil), reqs[:3]...)
+	for k := int32(10); k < 42; k++ {
+		long = append(long, Request{Node: k, Samples: chunkSamples})
+	}
 	for _, improved := range []bool{false, true} {
 		serial := Batch(g, reqs, Options{C: c, Improved: improved, Workers: 1, Seed: 9})
 		for _, workers := range []int{2, 8} {
 			par := Batch(g, reqs, Options{C: c, Improved: improved, Workers: workers, Seed: 9})
-			for i := range serial {
-				if math.Float64bits(serial[i]) != math.Float64bits(par[i]) {
-					t.Fatalf("improved=%v workers=%d req %d: %g vs %g",
-						improved, workers, i, serial[i], par[i])
-				}
+			requireBits(t, fmt.Sprintf("improved=%v workers=%d", improved, workers), serial, par)
+		}
+
+		// One worker plus the CPUs a two-CPU lender has idle: one while
+		// the test holds one CPU (the query running Batch), none while it
+		// holds both. Either way the lender reads as before when Batch
+		// returns: every helper gave its CPU back.
+		for _, tc := range []struct {
+			held int
+			lent int64
+		}{{held: 1, lent: 1}, {held: 2, lent: 0}} {
+			l := NewLender(2)
+			for range tc.held {
+				l.Hold()
 			}
+			before := l.state.Load()
+			par := Batch(g, reqs, Options{C: c, Improved: improved, Workers: 1, Seed: 9, Lender: l})
+			name := fmt.Sprintf("improved=%v lender held=%d", improved, tc.held)
+			requireBits(t, name, serial, par)
+			if got := l.state.Load(); got != before {
+				t.Fatalf("%s: lender state %#x after Batch, %#x before", name, got, before)
+			}
+			if l.Lent() != tc.lent {
+				t.Fatalf("%s: %d helpers lent, want %d", name, l.Lent(), tc.lent)
+			}
+		}
+
+		// The CPU reclaimed mid-run: a query starting while the helper
+		// holds the idle CPU sends it home at its next unit boundary, and
+		// the run's own worker finishes the schedule.
+		want := Batch(g, long, Options{C: c, Improved: improved, Workers: 1, Seed: 9})
+		caught := false
+		for attempt := 0; attempt < 50 && !caught; attempt++ {
+			l := NewLender(2)
+			l.Hold()
+			before := l.state.Load()
+			var par []float64
+			par, caught = runReclaimed(g, long, Options{C: c, Improved: improved, Seed: 9}, l)
+			name := fmt.Sprintf("improved=%v reclaimed", improved)
+			requireBits(t, name, want, par)
+			if got := l.state.Load(); got != before {
+				t.Fatalf("%s: lender state %#x after the run, %#x before", name, got, before)
+			}
+		}
+		if !caught {
+			t.Fatalf("improved=%v: no run saw its helper leave with units untaken", improved)
+		}
+	}
+}
+
+// runReclaimed runs reqs on one worker beside the CPU the lender has
+// idle, and takes that CPU back (Hold) as soon as a helper has it. It
+// reports the output and whether the helper was seen leaving while units
+// were still untaken, which only a reclaim makes it do: a helper that
+// ran out of units has taken an index past the last one. The Hold is
+// released before it returns.
+func runReclaimed(g *graph.Graph, reqs []Request, opt Options, l *Lender) ([]float64, bool) {
+	b := newBatch(g, reqs, opt)
+	units := int64(len(b.explores) + len(b.chunks))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.run(1, l)
+	}()
+	running := func() bool {
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
+	helpers := func() int64 { return l.state.Load() & (heldOne - 1) }
+	for helpers() == 0 && running() {
+		runtime.Gosched()
+	}
+	l.Hold()
+	for helpers() != 0 && running() {
+		runtime.Gosched()
+	}
+	midRun := helpers() == 0 && b.next.Load() < units
+	<-done
+	l.Release()
+	return b.merge(), midRun
+}
+
+// requireBits fails unless got matches want bit for bit.
+func requireBits(t *testing.T, name string, want, got []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s: req %d: %g vs %g", name, i, want[i], got[i])
 		}
 	}
 }
@@ -304,6 +398,28 @@ func TestBatchCtxCancelDuringExploration(t *testing.T) {
 	for i := int32(1); i <= 6; i++ {
 		reqs = append(reqs, Request{Node: i, Samples: 100})
 	}
+	// Three goroutines drain the schedule either way: three workers, or
+	// one worker and two helpers on CPUs a lender has idle.
+	t.Run("workers", func(t *testing.T) {
+		cancelDuringExploration(t, g, reqs, Options{Workers: 3})
+	})
+	t.Run("lent", func(t *testing.T) {
+		l := NewLender(3)
+		l.Hold() // the query running BatchCtx
+		cancelDuringExploration(t, g, reqs, Options{Workers: 1, Lender: l})
+		if got := l.state.Load(); got != heldOne {
+			t.Fatalf("lender state %#x after BatchCtx, want one held CPU and no helper", got)
+		}
+		if l.Lent() != 2 {
+			t.Fatalf("%d helpers lent, want 2", l.Lent())
+		}
+	})
+}
+
+// cancelDuringExploration runs reqs under opt's worker set until a chunk
+// waits on the exploration, cancels, and requires BatchCtx to return
+// promptly with no goroutine of the run left behind.
+func cancelDuringExploration(t *testing.T, g *graph.Graph, reqs []Request, opt Options) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	type result struct {
@@ -315,7 +431,7 @@ func TestBatchCtxCancelDuringExploration(t *testing.T) {
 	go func() {
 		// Through a pool, a worker that outlived BatchCtx would also lose
 		// its stop flag when its estimator is handed back, and run on.
-		opt := Options{C: c, Improved: true, Workers: 3, Seed: 4, Pool: NewEstimatorPool(g, c)}
+		opt.C, opt.Improved, opt.Seed, opt.Pool = c, true, 4, NewEstimatorPool(g, c)
 		out, err := BatchCtx(ctx, g, reqs, opt)
 		done <- result{out, err, goroutineStacks()}
 	}()
@@ -358,7 +474,46 @@ func TestBatchCtxCancelDuringExploration(t *testing.T) {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", r.out, r.err)
 	}
 	if stackWith(r.stacks, worker) {
-		t.Fatal("a worker outlived BatchCtx")
+		t.Fatal("a worker or helper outlived BatchCtx")
+	}
+}
+
+func TestBatchPanicRaisedOnCaller(t *testing.T) {
+	// A Service worker's recover only sees panics on its own goroutine, so
+	// a unit that panics on a helper or a spawned worker must surface on
+	// the goroutine that called Batch, once the run has stopped, with every
+	// lent CPU back. The last request names a node past the graph: its
+	// chunk indexes out of range, on whichever goroutine takes it.
+	g := gen.BarabasiAlbert(300, 4, 7)
+	var reqs []Request
+	for k := int32(0); k < 16; k++ {
+		reqs = append(reqs, Request{Node: k, Samples: chunkSamples})
+	}
+	reqs = append(reqs, Request{Node: int32(g.N()), Samples: 1})
+	for _, tc := range []struct {
+		name    string
+		workers int
+		lender  bool
+	}{{"lent", 1, true}, {"workers", 2, false}} {
+		var l *Lender
+		if tc.lender {
+			l = NewLender(2)
+			l.Hold()
+		}
+		var v any
+		func() {
+			defer func() { v = recover() }()
+			Batch(g, reqs, Options{C: c, Workers: tc.workers, Seed: 3, Lender: l})
+		}()
+		if v == nil {
+			t.Fatalf("%s: Batch returned without the chunk's panic", tc.name)
+		}
+		if l != nil && l.state.Load() != heldOne {
+			t.Fatalf("%s: lender state %#x after the panic, want one held CPU", tc.name, l.state.Load())
+		}
+		if stackWith(goroutineStacks(), "diag.(*batch).work(") {
+			t.Fatalf("%s: a worker or helper outlived the panic", tc.name)
+		}
 	}
 }
 

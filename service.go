@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/exactsim/exactsim/internal/algo"
+	"github.com/exactsim/exactsim/internal/diag"
 	"github.com/exactsim/exactsim/internal/plan"
 )
 
@@ -26,7 +27,11 @@ var ErrServiceClosed = errors.New("exactsim: service closed")
 // algorithm and no default deadline.
 type ServiceOptions struct {
 	// Workers is the size of the query worker pool — the maximum number of
-	// queries computing concurrently. 0 selects GOMAXPROCS.
+	// queries computing concurrently. 0 selects GOMAXPROCS. While fewer
+	// than min(Workers, GOMAXPROCS) queries compute, an ExactSim query's
+	// diagonal phase borrows the idle CPUs as helpers and hands each back
+	// when a new query starts (DESIGN §5); answers are bit-identical
+	// either way.
 	Workers int
 	// QueueDepth bounds queries waiting for a worker. Submissions beyond
 	// it are shed class-aware (background first, interactive last) with a
@@ -260,6 +265,9 @@ type ServiceStats struct {
 	QueueDepth int `json:"queue_depth"`
 	// InFlight is the number of queries computing on workers right now.
 	InFlight int `json:"in_flight"`
+	// CPUsLent counts the helpers lent so far: idle worker CPUs that
+	// joined a running ExactSim query's diagonal phase.
+	CPUsLent int64 `json:"cpus_lent"`
 	// Queriers is the number of retained (epoch, algorithm, ε) queriers.
 	Queriers int `json:"queriers"`
 	// GraphEpoch is the current graph generation (starts at 1).
@@ -399,7 +407,11 @@ type Service struct {
 	queries   atomic.Int64
 	cacheHits atomic.Int64
 	errors    atomic.Int64
-	inFlight  atomic.Int64
+
+	// lender counts min(Workers, GOMAXPROCS) CPUs: a worker holds one
+	// while it executes a job, and ExactSim's diagonal phase borrows the
+	// idle ones. Its held count is the InFlight gauge.
+	lender *diag.Lender
 
 	// deadlineRejected counts expired-on-arrival answers (budget gone
 	// before any work); degradedQueries counts successful Degraded
@@ -506,6 +518,7 @@ func newService(g *Graph, opts ServiceOptions, restoredIdx *DiagSampleIndex) (*S
 		inflight:    make(map[cacheKey]*flight),
 		cache:       newResultCache(opts.CacheSize),
 		baseEpsilon: baseCfg.Epsilon,
+		lender:      diag.NewLender(min(opts.Workers, runtime.GOMAXPROCS(0))),
 	}
 	s.queue = newServiceQueue(opts.QueueDepth, opts.QueueTarget, opts.QueueWindow, s.dropJob)
 	st := s.newState(g, 1)
@@ -1003,9 +1016,12 @@ func (s *Service) worker() {
 			job.resp <- s.fail(job.st, job.req, ToError(err))
 			continue
 		}
-		s.inFlight.Add(1)
-		job.resp <- s.execute(job.ctx, job.st, job.req, job.emit)
-		s.inFlight.Add(-1)
+		// The CPU goes back before the answer does, so a caller holding
+		// its answer never reads itself in in_flight.
+		s.lender.Hold()
+		resp := s.execute(job.ctx, job.st, job.req, job.emit)
+		s.lender.Release()
+		job.resp <- resp
 	}
 }
 
@@ -1219,6 +1235,9 @@ func (s *Service) build(key querierKey, slot *querierSlot, st *graphState, algor
 	if st.diagIdx != nil {
 		opts = append(opts, WithDiagIndex(st.diagIdx))
 	}
+	// ExactSim queriers borrow the workers' idle CPUs; the other
+	// algorithms never read the field.
+	opts = append(opts, func(cfg *algo.Config) { cfg.Lender = s.lender })
 	q, err := NewQuerierCtx(s.buildCtx, algorithm, st.g, opts...)
 	if err != nil {
 		s.querierMu.Lock()
@@ -1282,7 +1301,8 @@ func (s *Service) Stats() ServiceStats {
 		Errors:             s.errors.Load(),
 		CachedResults:      s.cache.len(),
 		QueueDepth:         s.queue.depth(),
-		InFlight:           int(s.inFlight.Load()),
+		InFlight:           s.lender.Running(),
+		CPUsLent:           s.lender.Lent(),
 		Queriers:           queriers,
 		GraphEpoch:         st.epoch,
 		ShedQueries:        sheds,

@@ -3,7 +3,9 @@ package exactsim_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -230,4 +232,105 @@ func TestServiceDiagIndexEpochRace(t *testing.T) {
 		}(gr)
 	}
 	wg.Wait()
+}
+
+// TestServiceLendsIdleCPUs drives concurrent ExactSim queries, with one
+// Update mid-run, through a two-worker Service whose idle worker CPU the
+// running query's diagonal phase borrows. Every answer must equal, bit for
+// bit, a one-worker querier's with its own index on the answer's epoch;
+// cpus_lent shows the lending happened. A one-worker Service answers the
+// same way and never lends: its one CPU is held by the query itself.
+func TestServiceLendsIdleCPUs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("lending needs GOMAXPROCS ≥ 2")
+	}
+	graphs := map[uint64]*exactsim.Graph{
+		1: exactsim.GenerateBarabasiAlbert(500, 4, 11),
+		2: exactsim.GenerateBarabasiAlbert(500, 4, 12),
+	}
+	sources := []exactsim.NodeID{0, 1, 2, 3, 5, 8, 13, 21}
+	want := map[uint64]map[exactsim.NodeID][]float64{}
+	for epoch, g := range graphs {
+		want[epoch] = map[exactsim.NodeID][]float64{}
+		for _, src := range sources {
+			want[epoch][src] = referenceScores(t, g, src)
+		}
+	}
+	check := func(t *testing.T, resp exactsim.Response) {
+		t.Helper()
+		if resp.Err != nil {
+			t.Fatalf("source %d: %v", resp.Request.Source, resp.Err)
+		}
+		ref := want[resp.GraphEpoch][resp.Request.Source]
+		if len(ref) != len(resp.Result.Scores) {
+			t.Fatalf("epoch %d: %d scores, want %d", resp.GraphEpoch, len(resp.Result.Scores), len(ref))
+		}
+		for j := range ref {
+			if math.Float64bits(ref[j]) != math.Float64bits(resp.Result.Scores[j]) {
+				t.Fatalf("epoch %d source %d: bit flip at %d", resp.GraphEpoch, resp.Request.Source, j)
+			}
+		}
+	}
+
+	for _, workers := range []int{2, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			svc, err := exactsim.NewService(graphs[1], exactsim.ServiceOptions{
+				Workers:        workers,
+				CacheSize:      -1, // every query computes
+				QuerierOptions: diagTestOpts(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			query := func(src exactsim.NodeID) exactsim.Response {
+				return svc.Query(context.Background(), exactsim.Request{Algorithm: "exactsim", Source: src})
+			}
+
+			// A query alone: the other worker's CPU is idle.
+			check(t, query(sources[0]))
+
+			const goroutines = 3
+			var (
+				wg      sync.WaitGroup
+				mu      sync.Mutex
+				resps   []exactsim.Response
+				updated sync.Once
+			)
+			for gr := 0; gr < goroutines; gr++ {
+				wg.Add(1)
+				go func(gr int) {
+					defer wg.Done()
+					for i := range sources {
+						resp := query(sources[(gr+i)%len(sources)])
+						mu.Lock()
+						resps = append(resps, resp)
+						mu.Unlock()
+						if i == 1 {
+							updated.Do(func() {
+								if _, err := svc.Update(graphs[2]); err != nil {
+									t.Errorf("update: %v", err)
+								}
+							})
+						}
+					}
+				}(gr)
+			}
+			wg.Wait()
+			for _, resp := range resps {
+				check(t, resp)
+			}
+
+			st := svc.Stats()
+			if workers > 1 && st.CPUsLent == 0 {
+				t.Fatal("cpus_lent = 0: no query borrowed the idle CPU")
+			}
+			if workers == 1 && st.CPUsLent != 0 {
+				t.Fatalf("cpus_lent = %d on a one-worker Service", st.CPUsLent)
+			}
+			if st.InFlight != 0 || st.GraphEpoch != 2 {
+				t.Fatalf("after the run: in_flight %d, epoch %d", st.InFlight, st.GraphEpoch)
+			}
+		})
+	}
 }

@@ -19,6 +19,7 @@ var statsTagGolden = map[string]string{
 	"CachedResults":      "cached_results",
 	"QueueDepth":         "queue_depth",
 	"InFlight":           "in_flight",
+	"CPUsLent":           "cpus_lent",
 	"Queriers":           "queriers",
 	"GraphEpoch":         "graph_epoch",
 	"DiagIndexEnabled":   "diag_index_enabled",

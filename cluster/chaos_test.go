@@ -429,6 +429,63 @@ func TestRouterMalformedBackendResponse(t *testing.T) {
 	members[0].gate.garbleMode.Store(0)
 }
 
+// TestRouterAbsorbsResets pins what BenchmarkRouterResetFault's hardened
+// arm measures: under the shipped router defaults, with hedging off so
+// only the retry path acts, a 10% server-side connection-reset rate
+// costs the caller no answer. Both replicas cut the connection on every
+// 10th /v1/query, before the request reaches the service; the backend
+// clients' same-replica retries and the router's failover to the next
+// ring candidate absorb every cut.
+func TestRouterAbsorbsResets(t *testing.T) {
+	g := exactsim.GenerateBarabasiAlbert(500, 3, 1)
+	members, urls := startFleet(t, g, 2, exactsim.ServiceOptions{
+		Workers:        2,
+		QuerierOptions: []exactsim.QuerierOption{exactsim.WithEpsilon(0.1), exactsim.WithSeed(1)},
+	})
+	opts := manualPollOptions()
+	opts.DisableHedging = true
+	r, err := cluster.New(urls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	ctx := context.Background()
+	// Cache every source on both replicas before arming the gates, so the
+	// queries below cost a cache hit plus whatever the resets add.
+	const sources = 64
+	for _, m := range members {
+		for i := 0; i < sources; i++ {
+			if resp := m.svc.Query(ctx, exactsim.Request{Source: exactsim.NodeID(i)}); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+		}
+		m.gate.abortEvery.Store(10)
+	}
+	const queries = 300
+	for i := 0; i < queries; i++ {
+		resp := r.Query(ctx, exactsim.Request{Source: exactsim.NodeID(i % sources)})
+		if resp.Err != nil {
+			t.Fatalf("query %d: a reset reached the caller: %v", i, resp.Err)
+		}
+		if !resp.CacheHit {
+			t.Fatalf("query %d missed the replica cache", i)
+		}
+	}
+	st := r.Stats()
+	var cut int64
+	for _, m := range members {
+		cut += m.gate.abortN.Load() / 10
+	}
+	t.Logf("%d connections cut; router retries=%d backend_retries=%d", cut, st.Retries, st.BackendRetries)
+	if cut == 0 {
+		t.Fatal("no connection was cut")
+	}
+	if st.Retries+st.BackendRetries == 0 {
+		t.Fatal("no retry recorded: the resets were absorbed by nothing")
+	}
+}
+
 // TestRouterFailOpenWhenAllEjected pins panic routing: when every
 // backend is poll-ejected, the health verdict is suspect — the prober
 // rides the same network as the queries, and chaos that blinds it must

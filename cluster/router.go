@@ -161,6 +161,12 @@ var errFleetSaturated = errors.New("cluster: fleet saturated")
 // for operators.
 var errBreakersOpen = errors.New("cluster: all replica circuit breakers open")
 
+// errNoHealthy answers a call that needs a live replica when membership
+// admits none.
+func errNoHealthy() *exactsim.Error {
+	return exactsim.Errorf(exactsim.CodeUnavailable, "cluster: no healthy backends")
+}
+
 // priorityRank maps a request's overload class onto the queue rank the
 // shed thresholds scale by (0 = interactive). Unknown classes rank as
 // interactive here — the backend rejects them as invalid_argument, and
@@ -592,27 +598,37 @@ func (r *Router) Batch(ctx context.Context, reqs []exactsim.Request) []exactsim.
 
 // Warm fans a warm request to every healthy replica — each fills its own
 // diagonal sample index (sources it will own plus shared hub cells) —
-// and sums the outcomes. GraphEpoch reports the fleet max afterwards.
+// and sums the outcomes. GraphEpoch reports the fleet max afterwards. A
+// replica that fails or rejects the request counts as one failure,
+// unless every replica that answered rejected it wholesale (an invalid
+// request, or a closed fleet): that rejection is then the answer.
 func (r *Router) Warm(ctx context.Context, wr exactsim.WarmRequest) exactsim.WarmResponse {
-	backends := r.snapshot()
 	var (
-		mu  sync.Mutex
-		out exactsim.WarmResponse
-		wg  sync.WaitGroup
-		any bool
+		mu                         sync.Mutex
+		out                        exactsim.WarmResponse
+		wg                         sync.WaitGroup
+		healthy, answered, refused int
+		rejection                  *exactsim.Error
 	)
-	for _, b := range backends {
+	for _, b := range r.snapshot() {
 		if !b.healthy.Load() {
 			continue
 		}
-		any = true
+		healthy++
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
 			resp, err := b.client.Warm(ctx, wr)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil || resp.Err != nil {
+			if err != nil {
+				out.Failed++ // a transport failure: the replica was not reached
+				return
+			}
+			answered++
+			if resp.Err != nil {
+				refused++
+				rejection = resp.Err
 				out.Failed++
 				return
 			}
@@ -624,8 +640,11 @@ func (r *Router) Warm(ctx context.Context, wr exactsim.WarmRequest) exactsim.War
 		}(b)
 	}
 	wg.Wait()
-	if !any {
-		out.Err = exactsim.Errorf(exactsim.CodeUnavailable, "cluster: no healthy backends")
+	switch {
+	case healthy == 0:
+		out.Err = errNoHealthy()
+	case answered > 0 && refused == answered:
+		return exactsim.WarmResponse{Err: rejection}
 	}
 	return out
 }

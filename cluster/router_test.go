@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -661,6 +662,41 @@ func TestClusterServerProtocol(t *testing.T) {
 	}
 	if wr.Warmed != 6 { // 2 sources × 3 replicas
 		t.Fatalf("warmed %d, want 6", wr.Warmed)
+	}
+}
+
+// TestRouterWarmRejectedWholesale: a warm request that every replica
+// would reject as a whole is rejected as a whole at the front door too,
+// with the 400 invalid_argument one replica answers, not as a 200 that
+// counts each replica as failed. An over-bound hub count never leaves
+// the router; a negative one reaches both replicas and is refused by
+// both.
+func TestRouterWarmRejectedWholesale(t *testing.T) {
+	g := exactsim.GenerateBarabasiAlbert(200, 3, 17)
+	_, urls := startFleet(t, g, 2, exactsim.ServiceOptions{
+		Workers:        1,
+		QuerierOptions: []exactsim.QuerierOption{exactsim.WithEpsilon(0.1), exactsim.WithSeed(1)},
+	})
+	r, err := cluster.New(urls, manualPollOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rs := httptest.NewServer(cluster.NewServer(r, cluster.ServerOptions{}))
+	defer rs.Close()
+
+	for _, body := range []string{`{"top_degree":5000}`, `{"top_degree":-1}`} {
+		res, err := http.Post(rs.URL+"/v1/warm", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wr exactsim.WarmResponse
+		err = json.NewDecoder(res.Body).Decode(&wr)
+		res.Body.Close()
+		if err != nil || res.StatusCode != http.StatusBadRequest ||
+			wr.Err == nil || wr.Err.Code != exactsim.CodeInvalidArgument {
+			t.Fatalf("%s through the router: HTTP %d, %+v (%v)", body, res.StatusCode, wr, err)
+		}
 	}
 }
 

@@ -4,18 +4,17 @@
 // Usage:
 //
 //	snapshot convert [-undirected] -o graph.snap edges.txt
-//	snapshot convert -o graph.snap old-format.bin      # legacy binary in
 //	snapshot inspect warm.snap
 //
-// convert autodetects its input: a snapshot container, the legacy
-// pre-container binary format, or a SNAP-style text edge list. The
-// output is always a graph-only container: converting a warm snapshot
-// keeps the graph but drops the diagonal sample index spill (it is
-// serving-process state — a warning says so; regenerate it by serving
-// with -save-snapshot). inspect verifies every section checksum
-// (opening does that unconditionally) and prints the section table,
-// graph degree structure and — for snapshots written by a serving
-// daemon — the diagonal sample index spill's binding and entry counts.
+// convert autodetects its input: a snapshot container or a SNAP-style
+// text edge list. The output is always a graph-only container:
+// converting a warm snapshot keeps the graph but drops the diagonal
+// sample index spill (it is serving-process state — a warning says so;
+// regenerate it by serving with -save-snapshot). inspect verifies every
+// section checksum (opening does that unconditionally) and prints the
+// section table, graph degree structure and — for snapshots written by a
+// serving daemon — the diagonal sample index spill's binding and entry
+// counts.
 package main
 
 import (
@@ -47,7 +46,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  snapshot convert [-undirected] -o out.snap <edges.txt | legacy.bin | container.snap>
+  snapshot convert [-undirected] -o out.snap <edges.txt | container.snap>
   snapshot inspect <container.snap>
 `)
 	os.Exit(2)
@@ -86,10 +85,6 @@ func convert(args []string) {
 		loaded.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 }
 
-// legacyMagic mirrors internal/graph's pre-container format marker
-// ("GSIMRANK"); the format is frozen, the constant cannot drift.
-const legacyMagic = uint64(0x4753494d52414e4b)
-
 // loadAny sniffs the input format by its first 8 bytes. hadSpill
 // reports whether a container input carried a diag-index section that
 // the conversion will not preserve.
@@ -101,29 +96,23 @@ func loadAny(path string, undirected bool) (g *exactsim.Graph, kind string, hadS
 	var head [8]byte
 	n, _ := io.ReadFull(f, head[:])
 	f.Close()
-	if n == 8 {
-		switch binary.LittleEndian.Uint64(head[:]) {
-		case store.Magic:
-			// One open pays for everything: verification, the graph, and
-			// the does-it-carry-a-spill check.
-			cf, err := store.Open(path)
-			if err != nil {
-				return nil, "", false, err
-			}
-			g, aliased, err := graph.FromContainer(cf)
-			if err != nil {
-				cf.Close()
-				return nil, "", false, err
-			}
-			_, spill := cf.Section(store.SectionDiagIndex)
-			if !aliased {
-				cf.Close()
-			}
-			return g, "container", spill, nil
-		case legacyMagic:
-			g, err := exactsim.LoadBinary(path)
-			return g, "legacy binary", false, err
+	if n == 8 && binary.LittleEndian.Uint64(head[:]) == store.Magic {
+		// One open pays for everything: verification, the graph, and the
+		// does-it-carry-a-spill check.
+		cf, err := store.Open(path)
+		if err != nil {
+			return nil, "", false, err
 		}
+		g, aliased, err := graph.FromContainer(cf)
+		if err != nil {
+			cf.Close()
+			return nil, "", false, err
+		}
+		_, spill := cf.Section(store.SectionDiagIndex)
+		if !aliased {
+			cf.Close()
+		}
+		return g, "container", spill, nil
 	}
 	g, err = exactsim.LoadEdgeList(path, undirected)
 	return g, "text edge list", false, err

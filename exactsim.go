@@ -265,8 +265,7 @@ func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, 
 // decodes into memory; OpenBinary (snapshot.go) mmaps zero-copy.
 func SaveBinary(path string, g *Graph) error { return graph.SaveBinary(path, g) }
 
-// LoadBinary reads a graph written by SaveBinary (or the legacy
-// pre-container binary format).
+// LoadBinary reads a graph written by SaveBinary.
 func LoadBinary(path string) (*Graph, error) { return graph.LoadBinary(path) }
 
 // GraphChecksum returns g's identity checksum — the CRC64 of its

@@ -1,5 +1,6 @@
 // Package httpapi is the HTTP transport of the exactsim query protocol:
-// a Server exposing a Service over its endpoints, and a Client that
+// a Server exposing a Service over its endpoints (or any Backend: the
+// fleet router's front door is the same Server), and a Client that
 // implements the same exactsim.Querier interface the in-process engines
 // do, so code written against a local graph can point at a remote daemon
 // unchanged.

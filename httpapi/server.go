@@ -15,36 +15,60 @@ import (
 	exactsim "github.com/exactsim/exactsim"
 )
 
+// maxBodyBytes caps a request body: a batch at the default MaxBatch bound
+// fits many times over.
+const maxBodyBytes = 8 << 20
+
 // ServerOptions bounds what one HTTP request may cost. The zero value is
 // usable.
 type ServerOptions struct {
-	// MaxBatch caps the request count of one /v1/batch call. 0 selects
-	// 4096; negative removes the bound.
-	MaxBatch int
-	// MaxBodyBytes caps a request body. 0 selects 8 MiB; negative
+	// MaxBatch caps the request count of one /v1/batch call and the
+	// source fan-out of one /v1/warm call. 0 selects 4096; negative
 	// removes the bound.
-	MaxBodyBytes int64
+	MaxBatch int
 	// MaxTimeout clamps client-requested timeout_ms values, and bounds
 	// requests that ask for no timeout at all. 0 leaves both unbounded
-	// (the Service's DefaultTimeout still applies).
+	// (a Service's DefaultTimeout still applies).
 	MaxTimeout time.Duration
 }
 
-func (o *ServerOptions) normalize() {
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 4096
-	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = 8 << 20
-	}
+// Backend is what a Server serves: the part of the protocol in which one
+// replica and a fleet router differ. Everything else is the Server's, for
+// both: the routes, the body bound and decoding, the wire deadline and
+// its reply margin, the batch and warm bounds, the error envelopes,
+// panic containment and the draining gate. Methods are called
+// concurrently.
+type Backend interface {
+	// Answer answers one query. A non-nil body is a 200 answer to relay
+	// as it is; otherwise resp is encoded.
+	Answer(ctx context.Context, req exactsim.Request) (body []byte, resp exactsim.Response)
+	// QueryStream answers one query, passing each refinement to emit in
+	// turn; it returns the terminal answer after its last call to emit.
+	QueryStream(ctx context.Context, req exactsim.Request, emit func(exactsim.Response)) exactsim.Response
+	// Batch answers many queries, responses aligned with reqs by index.
+	Batch(ctx context.Context, reqs []exactsim.Request) []exactsim.Response
+	// Warm pre-computes sources; see exactsim.Service.Warm.
+	Warm(ctx context.Context, wr exactsim.WarmRequest) exactsim.WarmResponse
+	// StreamSnapshot writes a snapshot container to w, with the graph
+	// epoch in the X-Exactsim-Graph-Epoch header. An error returned
+	// before the first body byte is answered as a protocol error; after
+	// it, the truncated body fails its checksum on the client side.
+	StreamSnapshot(ctx context.Context, w http.ResponseWriter) *exactsim.Error
+	// AlgorithmsDoc is the /v1/algorithms document.
+	AlgorithmsDoc(ctx context.Context) (AlgorithmsResponse, *exactsim.Error)
+	// StatsDoc is the /v1/stats document and the ServiceStats inside it,
+	// into which the Server folds its own handler panics.
+	StatsDoc() (doc any, st *exactsim.ServiceStats)
+	// NotReady says why the backend should get no new traffic, or ""
+	// when it should.
+	NotReady() string
 }
 
-// Server exposes one exactsim.Service over the HTTP query protocol. It is
-// an http.Handler; mount it directly or under a prefix of your own mux.
+// Server exposes a Backend over the HTTP query protocol. It is an
+// http.Handler; mount it directly or under a prefix of your own mux.
 type Server struct {
-	svc  *exactsim.Service
+	b    Backend
 	opts ServerOptions
-	mux  *http.ServeMux
 	// draining gates readiness only: while set, /readyz answers 503 so
 	// balancers stop routing here, but in-flight and even new queries
 	// still succeed — the drain window is for the fleet to notice, not
@@ -52,31 +76,39 @@ type Server struct {
 	draining atomic.Bool
 	// panics counts handler panics this server swallowed (see Recovered);
 	// folded into the panics_recovered gauge /v1/stats reports, alongside
-	// the Service's own worker-level count.
+	// the backend's own count.
 	panics    atomic.Int64
 	lastPanic atomic.Pointer[string]
 	protected http.Handler
 }
 
-// NewServer wraps svc. The caller keeps ownership of svc (and closes it);
-// a request arriving after Close answers with code "closed" / 503.
+// NewServer serves svc. The caller keeps ownership of svc (and closes
+// it); a request arriving after Close answers with code "closed" / 503.
 func NewServer(svc *exactsim.Service, opts ServerOptions) *Server {
-	opts.normalize()
-	s := &Server{svc: svc, opts: opts, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/query/stream", s.handleQueryStream)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/warm", s.handleWarm)
+	return NewBackendServer(service{svc}, opts)
+}
+
+// NewBackendServer serves b. The caller keeps ownership of b.
+func NewBackendServer(b Backend, opts ServerOptions) *Server {
+	if opts.MaxBatch == 0 {
+		opts.MaxBatch = 4096
+	}
+	s := &Server{b: b, opts: opts}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/query", s.handleQuery)
+	mux.HandleFunc("POST /v1/query/stream", s.handleQueryStream)
+	mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	mux.HandleFunc("POST /v1/warm", s.handleWarm)
 	// Registered for both verbs: semantically it is a download (GET, and
 	// what a bare `curl -o` sends), but POST-only clients from the first
 	// cut of this endpoint keep working.
-	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.protected = Recovered(s.mux, func(v any, stack []byte) {
+	mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
+	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
+	mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.protected = Recovered(mux, func(v any, stack []byte) {
 		s.panics.Add(1)
 		msg := fmt.Sprintf("panic: %v\n%s", v, stack)
 		s.lastPanic.Store(&msg)
@@ -112,9 +144,6 @@ func Recovered(next http.Handler, onPanic func(v any, stack []byte)) http.Handle
 	})
 }
 
-// Service returns the wrapped service (for stats, updates, Close).
-func (s *Server) Service() *exactsim.Service { return s.svc }
-
 // SetDraining flips the readiness gate (see /readyz): a draining server
 // keeps answering queries and /healthz liveness, but tells routers to
 // send new traffic elsewhere — the graceful half of a rolling restart.
@@ -129,7 +158,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var qr QueryRequest
-	if e := s.decode(w, r, &qr); e != nil {
+	if e := decode(w, r, &qr); e != nil {
 		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
 		return
 	}
@@ -141,14 +170,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, StatusOf(e), exactsim.Response{Request: qr.Body, Err: e})
 		return
 	}
-	resp := s.svc.Query(ctx, qr.Body)
-	writeResponse(w, &resp)
+	// A relayed success crosses this hop without a decode or a re-encode.
+	body, resp := s.b.Answer(ctx, qr.Body)
+	if body == nil {
+		writeResponse(w, &resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // writeResponse answers one /v1/query through the answer codec, with the
 // bytes writeJSON would write. The header is set before the encoding
 // starts, as writeJSON sets it before encoding: the first touch of w is
-// where a wrapping handler sees the Service's work end.
+// where a wrapping handler sees the backend's work end.
 func writeResponse(w http.ResponseWriter, resp *exactsim.Response) {
 	w.Header().Set("Content-Type", "application/json")
 	status := StatusOf(resp.Err)
@@ -175,7 +211,7 @@ func writeResponse(w http.ResponseWriter, resp *exactsim.Response) {
 // the terminal record's error field, not the status line.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var qr QueryRequest
-	if e := s.decode(w, r, &qr); e != nil {
+	if e := decode(w, r, &qr); e != nil {
 		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
 		return
 	}
@@ -189,10 +225,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	// QueryStream calls emit sequentially from a worker goroutine and
-	// only returns after the last call, so the encoder is never written
-	// concurrently.
-	resp := s.svc.QueryStream(ctx, qr.Body, func(refinement exactsim.Response) {
+	// QueryStream calls emit sequentially and only returns after the last
+	// call, so the encoder is never written concurrently.
+	resp := s.b.QueryStream(ctx, qr.Body, func(refinement exactsim.Response) {
 		enc.Encode(StreamRecord{Response: refinement})
 		if flusher != nil {
 			flusher.Flush()
@@ -214,7 +249,7 @@ func expiredOnArrival(ctx context.Context) *exactsim.Error {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
-	if e := s.decode(w, r, &br); e != nil {
+	if e := decode(w, r, &br); e != nil {
 		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
 		return
 	}
@@ -232,12 +267,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-request failures live inside each Response; the batch call
 	// itself is a 200.
-	writeJSON(w, http.StatusOK, BatchResponse{Responses: s.svc.Batch(ctx, br.Body.Requests)})
+	writeJSON(w, http.StatusOK, BatchResponse{Responses: s.b.Batch(ctx, br.Body.Requests)})
 }
 
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var wr WarmRequest
-	if e := s.decode(w, r, &wr); e != nil {
+	if e := decode(w, r, &wr); e != nil {
 		writeJSON(w, StatusOf(e), exactsim.WarmResponse{Err: e})
 		return
 	}
@@ -266,87 +301,47 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, StatusOf(e), exactsim.WarmResponse{Err: e})
 		return
 	}
-	resp := s.svc.Warm(ctx, wr.Body)
+	resp := s.b.Warm(ctx, wr.Body)
 	writeJSON(w, StatusOf(resp.Err), resp)
 }
 
-// handleSnapshot streams the service's current graph generation as a
-// snapshot container (application/octet-stream): the admin/fleet path
-// by which a fresh instance clones a warm peer's graph + diagonal
-// sample index instead of re-deriving them. The epoch travels in
+// handleSnapshot streams a snapshot container of the current graph
+// generation (application/octet-stream): the admin/fleet path by which a
+// fresh instance clones a warm peer's graph + diagonal sample index
+// instead of re-deriving them. The epoch travels in
 // X-Exactsim-Graph-Epoch; save the body to disk and boot with
 // `exactsimd -snapshot` (or exactsim.OpenSnapshot).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	cw := &countingWriter{w: w}
-	// The epoch header is set by the pinned-generation hook — after the
-	// snapshot decides which generation it streams (an Update can race
-	// the request), before the first body byte flushes the headers.
-	err := s.svc.SnapshotTo(cw, func(epoch uint64) {
-		w.Header().Set("X-Exactsim-Graph-Epoch", strconv.FormatUint(epoch, 10))
-	})
-	if err != nil {
-		if cw.n == 0 {
-			// Nothing streamed yet (a closed service fails up front): the
-			// protocol error envelope can still answer.
-			e := exactsim.ToError(err)
-			h := w.Header()
-			h.Del("Content-Type")
-			h.Del("X-Exactsim-Graph-Epoch")
-			writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
-			return
-		}
-		// Mid-stream failure: the status is gone; the truncated body
-		// fails its container checksum on the client side.
+	if e := s.b.StreamSnapshot(r.Context(), w); e != nil {
+		// Nothing streamed yet: the protocol error envelope can still
+		// answer, without the epoch of a generation it did not send.
+		w.Header().Del(epochHeader)
+		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
 	}
 }
 
-// countingWriter tracks whether any response bytes left the building,
-// which decides if an error can still change the status line.
-type countingWriter struct {
-	w http.ResponseWriter
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
+// epochHeader carries a snapshot's graph epoch.
+const epochHeader = "X-Exactsim-Graph-Epoch"
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	// Static registry caps joined with the live planner's calibrated cost
-	// rows — the introspection surface remote planners decide from.
-	estimates := make(map[string]exactsim.PlanEstimate)
-	for _, e := range s.svc.PlanEstimates() {
-		estimates[e.Name] = e
+	doc, e := s.b.AlgorithmsDoc(r.Context())
+	if e != nil {
+		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		return
 	}
-	caps := exactsim.AlgorithmCaps()
-	methods := make([]MethodInfo, 0, len(caps))
-	for _, c := range caps {
-		mi := MethodInfo{MethodCaps: c}
-		if e, ok := estimates[c.Name]; ok {
-			mi.CostUnits, mi.CostNanos = e.Units, e.Nanos
-		}
-		methods = append(methods, mi)
-	}
-	writeJSON(w, http.StatusOK, AlgorithmsResponse{
-		Algorithms: exactsim.Algorithms(),
-		Default:    s.svc.DefaultAlgorithm(),
-		Methods:    methods,
-	})
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.svc.Stats()
-	// Handler-level panics are this server's, not the Service's; fold
+	doc, st := s.b.StatsDoc()
+	// Handler-level panics are this server's, not the backend's; fold
 	// them into the same gauge so one number answers "did anything blow
 	// up in this process".
 	st.PanicsRecovered += s.panics.Load()
 	if p := s.lastPanic.Load(); p != nil && st.LastPanic == "" {
 		st.LastPanic = firstLine(*p)
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // firstLine trims a captured panic-with-stack down to its headline; the
@@ -373,26 +368,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// handleReadyz is readiness — distinct from liveness so a replica can be
+// handleReadyz is readiness — distinct from liveness so a server can be
 // drained (stop receiving new fleet traffic) without being killed while
-// in-flight queries finish. 503 while draining, closed, or before a
-// graph generation is installed; 200 otherwise.
+// in-flight queries finish. 503 while draining or while the backend says
+// why not (see Backend.NotReady); 200 otherwise.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	why := "draining"
+	if !s.draining.Load() {
+		why = s.b.NotReady()
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case s.draining.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-	case s.svc.Closed():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "closed\n")
-	case s.svc.Epoch() == 0:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "no graph epoch\n")
-	default:
+	if why == "" {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ready\n")
+		return
 	}
+	w.WriteHeader(http.StatusServiceUnavailable)
+	io.WriteString(w, why+"\n")
 }
 
 // requestContext maps the wire timeout onto a context deadline, clamped
@@ -413,8 +405,9 @@ func (s *Server) requestContext(ctx context.Context, timeoutMillis int64) (conte
 // caller's own; a best-so-far answer cut at that moment would reach a
 // caller that has already given up. A request that accepts one
 // (allow_partial) is therefore cut a tenth of its wire budget early,
-// leaving that tenth for the reply. Strict requests keep their full
-// budget.
+// leaving that tenth for the reply. Every HTTP tier takes its tenth of
+// what remains, so behind a router a replica's cut falls before the
+// router's. Strict requests keep their full budget.
 func (s *Server) queryContext(ctx context.Context, qr *QueryRequest) (context.Context, context.CancelFunc) {
 	ms := qr.TimeoutMillis
 	if qr.Body.AllowPartial {
@@ -426,14 +419,10 @@ func (s *Server) queryContext(ctx context.Context, qr *QueryRequest) (context.Co
 // decode reads one JSON body under the size bound. A failure is reported
 // as a protocol error so clients see the same {code, message} shape on
 // every path.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *exactsim.Error {
-	body := r.Body
-	if s.opts.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	}
+func decode(w http.ResponseWriter, r *http.Request, into any) *exactsim.Error {
 	// Unknown fields are ignored deliberately: /v1 clients newer than the
 	// server must keep working when optional fields are added.
-	if err := json.NewDecoder(body).Decode(into); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(into); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return exactsim.Errorf(exactsim.CodeInvalidArgument,
@@ -450,4 +439,83 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encoding a fully materialized response cannot fail except for a
 	// broken connection, which has no recovery anyway.
 	json.NewEncoder(w).Encode(v)
+}
+
+// service is the Backend of one replica: a Service, plus what only a
+// replica serves — its planner's cost rows, its own snapshot stream and
+// its own readiness.
+type service struct{ *exactsim.Service }
+
+func (s service) Answer(ctx context.Context, req exactsim.Request) ([]byte, exactsim.Response) {
+	return nil, s.Query(ctx, req)
+}
+
+func (s service) StreamSnapshot(_ context.Context, w http.ResponseWriter) *exactsim.Error {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	cw := &countingWriter{w: w}
+	// The epoch header is set by the pinned-generation hook — after the
+	// snapshot decides which generation it streams (an Update can race
+	// the request), before the first body byte flushes the headers.
+	err := s.SnapshotTo(cw, func(epoch uint64) {
+		w.Header().Set(epochHeader, strconv.FormatUint(epoch, 10))
+	})
+	if err != nil && cw.n == 0 {
+		// A closed service fails before its first byte.
+		return exactsim.ToError(err)
+	}
+	return nil
+}
+
+// countingWriter tracks whether any response bytes left the building,
+// which decides if an error can still change the status line.
+type countingWriter struct {
+	w http.ResponseWriter
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// AlgorithmsDoc joins the static registry caps with the live planner's
+// calibrated cost rows — the introspection surface remote planners
+// decide from.
+func (s service) AlgorithmsDoc(context.Context) (AlgorithmsResponse, *exactsim.Error) {
+	estimates := make(map[string]exactsim.PlanEstimate)
+	for _, e := range s.PlanEstimates() {
+		estimates[e.Name] = e
+	}
+	caps := exactsim.AlgorithmCaps()
+	methods := make([]MethodInfo, 0, len(caps))
+	for _, c := range caps {
+		mi := MethodInfo{MethodCaps: c}
+		if e, ok := estimates[c.Name]; ok {
+			mi.CostUnits, mi.CostNanos = e.Units, e.Nanos
+		}
+		methods = append(methods, mi)
+	}
+	return AlgorithmsResponse{
+		Algorithms: exactsim.Algorithms(),
+		Default:    s.DefaultAlgorithm(),
+		Methods:    methods,
+	}, nil
+}
+
+func (s service) StatsDoc() (any, *exactsim.ServiceStats) {
+	st := s.Stats()
+	return &st, &st
+}
+
+// NotReady holds back a closed service, and one before its first graph
+// generation is installed.
+func (s service) NotReady() string {
+	switch {
+	case s.Closed():
+		return "closed"
+	case s.Epoch() == 0:
+		return "no graph epoch"
+	}
+	return ""
 }

@@ -2,6 +2,7 @@ package httpapi_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	exactsim "github.com/exactsim/exactsim"
+	"github.com/exactsim/exactsim/cluster"
 	"github.com/exactsim/exactsim/httpapi"
 )
 
@@ -148,11 +150,43 @@ func TestHTTPServerSideDeadline(t *testing.T) {
 	}
 }
 
-// TestHTTPErrorCodes: protocol rejections cross the wire with their code
-// and matching HTTP status.
-func TestHTTPErrorCodes(t *testing.T) {
-	_, ts, c := loopback(t, exactsim.ServiceOptions{Workers: 1}, httpapi.ServerOptions{MaxBatch: 4})
+// routerLoopback is loopback behind a fleet router: a router front door
+// with srvOpts over one replica with the default server options. The
+// caller gets a client connected to the front door.
+func routerLoopback(t *testing.T, svcOpts exactsim.ServiceOptions, srvOpts httpapi.ServerOptions) (*httptest.Server, *httpapi.Client) {
+	t.Helper()
+	_, replica, _ := loopback(t, svcOpts, httpapi.ServerOptions{})
+	r, err := cluster.New([]string{replica.URL}, cluster.Options{PollInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	ts := httptest.NewServer(cluster.NewServer(r, srvOpts))
+	t.Cleanup(ts.Close)
+	c, err := httpapi.NewClient(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts, c
+}
 
+// TestHTTPErrorCodes: protocol rejections cross the wire with their code
+// and matching HTTP status, at a replica and at a router over one: both
+// tiers run the same httpapi.Server.
+func TestHTTPErrorCodes(t *testing.T) {
+	svcOpts := exactsim.ServiceOptions{Workers: 1}
+	srvOpts := httpapi.ServerOptions{MaxBatch: 4}
+	t.Run("replica", func(t *testing.T) {
+		_, ts, c := loopback(t, svcOpts, srvOpts)
+		testErrorCodes(t, ts, c)
+	})
+	t.Run("router", func(t *testing.T) {
+		ts, c := routerLoopback(t, svcOpts, srvOpts)
+		testErrorCodes(t, ts, c)
+	})
+}
+
+func testErrorCodes(t *testing.T, ts *httptest.Server, c *httpapi.Client) {
 	resp, err := c.Query(context.Background(), exactsim.Request{Algorithm: "nope", Source: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +219,22 @@ func TestHTTPErrorCodes(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body returned HTTP %d, want 400", res.StatusCode)
+	}
+
+	// A body over the 8 MiB bound is rejected once the bound is reached,
+	// as the body bound and not as malformed JSON: the string it is cut
+	// in is well formed up to there.
+	huge := `{"source":1,"algorithm":"` + strings.Repeat("a", 9<<20) + `"}`
+	res, err = http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env exactsim.Response
+	err = json.NewDecoder(res.Body).Decode(&env)
+	res.Body.Close()
+	if err != nil || res.StatusCode != http.StatusBadRequest || env.Err == nil ||
+		env.Err.Code != exactsim.CodeInvalidArgument || !strings.Contains(env.Err.Message, "exceeds") {
+		t.Fatalf("oversized body: HTTP %d, %+v (%v)", res.StatusCode, env.Err, err)
 	}
 
 	// A batch over the server bound is rejected as a whole, and the

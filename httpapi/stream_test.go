@@ -187,6 +187,48 @@ func TestHTTPQueryPartialDeadline(t *testing.T) {
 	}
 }
 
+// TestRouterQueryPartialDeadline is TestHTTPQueryPartialDeadline through
+// a router front door over one replica. Each HTTP tier cuts an opted-in
+// request a tenth of what remains of its budget early, so the
+// best-so-far answer crosses both hops before the caller's deadline.
+func TestRouterQueryPartialDeadline(t *testing.T) {
+	_, c := routerLoopback(t, exactsim.ServiceOptions{Workers: 1}, httpapi.ServerOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	resp, err := c.Query(ctx, exactsim.Request{Source: 5, Epsilon: 2.5e-4, AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != nil {
+		t.Fatalf("opted-in query errored: %v", resp.Err)
+	}
+	if !resp.Partial || resp.AchievedEpsilon <= 0 || resp.Result == nil {
+		t.Fatalf("answer not best-so-far: partial=%v achieved=%g", resp.Partial, resp.AchievedEpsilon)
+	}
+}
+
+// TestRouterQueryStreamPartialDeadline is
+// TestHTTPQueryStreamPartialDeadline through a router front door over one
+// replica: the stream's terminal record is the best-so-far answer, and it
+// arrives before the caller's deadline.
+func TestRouterQueryStreamPartialDeadline(t *testing.T) {
+	_, c := routerLoopback(t, exactsim.ServiceOptions{Workers: 1}, httpapi.ServerOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	final, err := c.QueryStream(ctx,
+		exactsim.Request{Source: 5, Epsilon: 2.5e-4, AllowPartial: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Err != nil {
+		t.Fatalf("opted-in stream errored: %v", final.Err)
+	}
+	if !final.Partial || final.AchievedEpsilon <= 0 || final.Result == nil {
+		t.Fatalf("terminal record not best-so-far: partial=%v achieved=%g",
+			final.Partial, final.AchievedEpsilon)
+	}
+}
+
 // TestHTTPAlgorithmsInfo: the capability surface carries one caps+cost
 // row per registry method, and the client caches it — repeated calls
 // cost one upstream round trip total.

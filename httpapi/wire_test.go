@@ -2,9 +2,13 @@ package httpapi_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/rand/v2"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -262,9 +266,10 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
-// FuzzQueryRequest: the request envelope every server decodes never
-// panics, and an accepted envelope re-marshals and unmarshals to itself,
-// timeout_ms included.
+// FuzzQueryRequest: the request envelopes every server decodes never
+// panic, and an accepted envelope re-marshals and unmarshals to itself,
+// timeout_ms included. The same bytes are tried as a query, a batch and
+// a warm request: one server decodes all three for both tiers.
 func FuzzQueryRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"source":5}`,
@@ -274,10 +279,16 @@ func FuzzQueryRequest(f *testing.F) {
 		`{}`, `null`, `{"timeout_ms":-5}`, `{"TIMEOUT_MS":7,"Source":3}`,
 		`{"source":1,"timeout_ms":1.5}`, `{"source":"1"}`, `{"epsilon":-0}`, `[]`,
 		`{"algorithm":"a\u2028\ud800"}`,
+		`{"requests":[{"source":1},{"source":2,"k":3,"priority":"background"}],"timeout_ms":40}`,
+		`{"requests":[]}`, `{"requests":null}`, `{"requests":[null,{}]}`,
+		`{"sources":[1,2],"top_degree":3,"epsilon":0.01,"timeout_ms":9}`,
+		`{"sources":[]}`, `{"top_degree":-1}`, `{"sources":[1.5]}`,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		envelopeFixpoint[httpapi.Batch](t, data)
+		envelopeFixpoint[exactsim.WarmRequest](t, data)
 		var in httpapi.QueryRequest
 		if json.Unmarshal(data, &in) != nil {
 			return
@@ -292,6 +303,81 @@ func FuzzQueryRequest(f *testing.F) {
 		}
 		if back != in {
 			t.Fatalf("envelope round trip changed it:\n in: %+v\nout: %+v\nwire: %s", in, back, out)
+		}
+	})
+}
+
+// envelopeFixpoint requires bytes accepted as an Envelope[T] to encode
+// to a fixpoint: marshal, unmarshal and marshal again give the same
+// bytes and the same timeout. Bytes equality, not struct equality: an
+// empty list and an absent one both encode as absent under omitempty.
+func envelopeFixpoint[T any](t *testing.T, data []byte) {
+	t.Helper()
+	var in httpapi.Envelope[T]
+	if json.Unmarshal(data, &in) != nil {
+		return
+	}
+	out, err := json.Marshal(in)
+	if err != nil {
+		t.Fatalf("an accepted %T envelope does not marshal: %v", in.Body, err)
+	}
+	var back httpapi.Envelope[T]
+	if err := json.Unmarshal(out, &back); err != nil {
+		t.Fatalf("a marshalled %T envelope does not unmarshal: %v\n%s", in.Body, err, out)
+	}
+	again, err := json.Marshal(back)
+	if err != nil || !bytes.Equal(again, out) || back.TimeoutMillis != in.TimeoutMillis {
+		t.Fatalf("%T envelope round trip changed it (%v):\n  once: %s\n twice: %s", in.Body, err, out, again)
+	}
+}
+
+// stubTransport answers every request with a 200 carrying its bytes as
+// the body, without a socket.
+type stubTransport []byte
+
+func (b stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		Status:     "200 OK",
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/x-ndjson"}},
+		Body:       io.NopCloser(bytes.NewReader(b)),
+		Request:    req,
+	}, nil
+}
+
+// FuzzQueryStream: the NDJSON reader every client and router runs on an
+// untrusted /v1/query/stream body never panics, and ends every 200 body
+// in one of two ways: a final record, or a coded unavailable error.
+func FuzzQueryStream(f *testing.F) {
+	var stream bytes.Buffer
+	enc := json.NewEncoder(&stream)
+	enc.Encode(httpapi.StreamRecord{Response: exactsim.Response{Partial: true, AchievedEpsilon: 0.064,
+		Result: &exactsim.QueryResult{Algorithm: "exactsim", Scores: []float64{1, 0.25, 0}}}})
+	enc.Encode(httpapi.StreamRecord{Response: sampleAnswer(8), Final: true})
+	data := stream.Bytes()
+	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 2, len(data)} {
+		f.Add(data[:cut])
+	}
+	for _, s := range []string{
+		`{"final":true}`, `{"final":false}` + "\n" + `{"final":true,"error":{"code":"not_found","message":"x"}}`,
+		`null`, `[]`, `{"final":"yes"}`, `{"FINAL":true}`, `{"final":true,"result":{"scores":[1e999]}}`,
+		`{"final":true,"top_k":[{"idx":-1}],"plan":{}}`, "\x00\xff",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := httpapi.NewClient("http://stub.invalid",
+			httpapi.WithHTTPClient(&http.Client{Transport: stubTransport(data)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.QueryStream(context.Background(), exactsim.Request{Source: 1}, func(exactsim.Response) {})
+		if err == nil {
+			return // a final record
+		}
+		var pe *exactsim.Error
+		if !errors.As(err, &pe) || pe.Code != exactsim.CodeUnavailable {
+			t.Fatalf("a stream body ended in %v, not a final record or a coded unavailable", err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,11 +22,6 @@ import (
 // serves the CSR straight out of an mmap'd mapping with zero copies and
 // zero parsing; everywhere else (and for io.Reader sources) the same
 // bytes decode through explicit little-endian reads behind the same API.
-//
-// The pre-container format (bare "GSIMRANK" header, no version, no
-// checksum) is still read for old files; writers emit only containers.
-
-const legacyMagic = uint64(0x4753494d52414e4b) // "GSIMRANK"
 
 const csrHeaderSize = 16
 
@@ -240,13 +234,6 @@ func FromContainer(f *store.File) (g *Graph, aliased bool, err error) {
 // decline to alias) the same call transparently reads and decodes the
 // file into heap arrays.
 func OpenBinary(path string) (*Graph, error) {
-	if legacy, err := sniffLegacy(path); err != nil {
-		return nil, err
-	} else if legacy {
-		// Pre-container files have no section table to map over; decode
-		// them the old way so every path that accepted them still does.
-		return LoadBinary(path)
-	}
 	f, err := store.Open(path)
 	if err != nil {
 		return nil, err
@@ -262,22 +249,7 @@ func OpenBinary(path string) (*Graph, error) {
 	return g, nil
 }
 
-// sniffLegacy reports whether path starts with the legacy binary magic.
-func sniffLegacy(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return false, nil // too short for either format; let the parser complain
-	}
-	return binary.LittleEndian.Uint64(head[:]) == legacyMagic, nil
-}
-
-// ReadBinary decodes a binary graph from a stream — the container
-// format, or the legacy pre-container format for old files — and
+// ReadBinary decodes a binary graph container from a stream and
 // validates it. The result never aliases an mmap (use OpenBinary for
 // that); it may alias the in-memory read buffer.
 func ReadBinary(r io.Reader) (*Graph, error) {
@@ -285,49 +257,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading binary graph: %w", err)
 	}
-	if len(data) >= 8 && binary.LittleEndian.Uint64(data) == legacyMagic {
-		return readLegacyBinary(data[8:])
-	}
 	f, err := store.Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 	g, _, err := FromContainer(f)
 	return g, err
-}
-
-// readLegacyBinary decodes the pre-container format: legacyMagic
-// (already consumed), u64 n, u64 m, then the four CSR arrays.
-func readLegacyBinary(data []byte) (*Graph, error) {
-	br := bytes.NewReader(data)
-	var n, m uint64
-	for _, p := range []*uint64{&n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: reading legacy binary header: %w", err)
-		}
-	}
-	if n > 1<<31-2 || m > 1<<40 {
-		return nil, fmt.Errorf("graph: implausible legacy header n=%d m=%d", n, m)
-	}
-	g := &Graph{n: int32(n)}
-	g.outOff = make([]int64, n+1)
-	g.inOff = make([]int64, n+1)
-	g.outAdj = make([]int32, m)
-	g.inAdj = make([]int32, m)
-	for _, arr := range [][]int64{g.outOff, g.inOff} {
-		if err := binary.Read(br, binary.LittleEndian, arr); err != nil {
-			return nil, fmt.Errorf("graph: reading legacy offsets: %w", err)
-		}
-	}
-	for _, arr := range [][]int32{g.outAdj, g.inAdj} {
-		if err := binary.Read(br, binary.LittleEndian, arr); err != nil {
-			return nil, fmt.Errorf("graph: reading legacy adjacency: %w", err)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: legacy binary file failed validation: %w", err)
-	}
-	return g, nil
 }
 
 // SaveBinary writes the container encoding to path atomically (temp

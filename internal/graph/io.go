@@ -89,5 +89,5 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// The binary codec (snapshot-container format, mmap-backed OpenBinary,
-// legacy-format reading) lives in binary.go.
+// The binary codec (snapshot-container format, mmap-backed OpenBinary)
+// lives in binary.go.

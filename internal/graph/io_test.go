@@ -122,73 +122,36 @@ func TestOpenBinaryRejectsDamage(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
+		want   string // in the error, when set
 	}{
-		{"corrupt payload", func(d []byte) []byte { d[40] ^= 0x01; return d }},
-		{"truncated", func(d []byte) []byte { return d[:len(d)-9] }},
+		{"corrupt payload", func(d []byte) []byte { d[40] ^= 0x01; return d }, ""},
+		{"truncated", func(d []byte) []byte { return d[:len(d)-9] }, ""},
 		{"version from the future", func(d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[8:], store.Version+7)
 			return d
-		}},
-		{"wrong magic", func(d []byte) []byte { d[3] ^= 0xff; return d }},
+		}, ""},
+		{"wrong magic", func(d []byte) []byte { d[3] ^= 0xff; return d }, ""},
+		// The pre-container format's header: nothing reads it any more.
+		{"GSIMRANK magic", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d, 0x4753494d52414e4b)
+			return d
+		}, "not a snapshot container"},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte(nil), pristine...))
-			if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-				t.Fatalf("ReadBinary accepted %s", tc.name)
+			if _, err := ReadBinary(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadBinary on %s: %v", tc.name, err)
 			}
 			path := filepath.Join(dir, "bad.snap")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := OpenBinary(path); err == nil {
-				t.Fatalf("OpenBinary accepted %s", tc.name)
+			if _, err := OpenBinary(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenBinary on %s: %v", tc.name, err)
 			}
 		})
-	}
-}
-
-// TestReadBinaryLegacyFormat keeps the pre-container format readable:
-// files written by older builds load (and re-save as containers).
-func TestReadBinaryLegacyFormat(t *testing.T) {
-	g := triangle()
-	var buf bytes.Buffer
-	for _, h := range []uint64{legacyMagic, uint64(g.n), uint64(len(g.outAdj))} {
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, arr := range [][]int64{g.outOff, g.inOff} {
-		if err := binary.Write(&buf, binary.LittleEndian, arr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, arr := range [][]int32{g.outAdj, g.inAdj} {
-		if err := binary.Write(&buf, binary.LittleEndian, arr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, got) {
-		t.Fatal("legacy decode differs")
-	}
-	// OpenBinary (the mmap path) must fall back to the legacy decoder
-	// too — the daemon's -binary flag goes through it.
-	path := filepath.Join(t.TempDir(), "legacy.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := OpenBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	if !graphsEqual(g, opened) {
-		t.Fatal("OpenBinary legacy decode differs")
 	}
 }
 

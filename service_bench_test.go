@@ -58,8 +58,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 //     over the source set outside the timer — the steady state of a
 //     long-running instance (or one warmed via Warm / POST /v1/warm).
 //
-// The warm/cold ns-per-op ratio is the serving speedup the index buys;
-// BENCH_PR4.json records both.
+// The warm/cold ns-per-op ratio is the serving speedup the index buys.
 func BenchmarkServiceDistinctSources(b *testing.B) {
 	g := exactsim.GenerateBarabasiAlbert(2000, 4, 1)
 	const sources = 256

@@ -9,11 +9,11 @@ import (
 	exactsim "github.com/exactsim/exactsim"
 )
 
-// The PR5 benchmark pair: how fast a process gets from "nothing in
+// The snapshot benchmark pair: how fast a process gets from "nothing in
 // memory" to "graph served" (text parse vs binary mmap), and from
 // "process start" to "first single-source answer" (cold vs
 // snapshot-restored). The warm/cold ratios are the snapshot store's
-// reason to exist; CI publishes them as BENCH_PR5.json.
+// reason to exist; run them by hand with -bench 'GraphLoad|FirstQuery'.
 
 const benchSnapSeed = 99
 

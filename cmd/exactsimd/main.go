@@ -1,7 +1,7 @@
 // Command exactsimd serves SimRank queries over HTTP: an exactsim.Service
 // wrapped by the httpapi transport, answering every registered algorithm
-// on one graph with per-request deadlines, an epoch-keyed result cache and
-// structured protocol errors.
+// on one graph with per-request deadlines, a result cache per graph
+// generation and structured protocol errors.
 //
 // Usage:
 //

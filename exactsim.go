@@ -21,8 +21,8 @@
 // ablation variant, and the six baselines all answer through the same
 // Querier interface with context-based cancellation. For concurrent
 // multi-user traffic, wrap the graph in a Service (worker pool, per-query
-// deadlines, epoch-keyed LRU result cache, batching, live graph updates
-// via Update):
+// deadlines, an LRU result cache per graph generation, batching, live
+// graph updates via Update):
 //
 //	svc, _ := exactsim.NewService(g, exactsim.ServiceOptions{})
 //	defer svc.Close()

@@ -3,9 +3,9 @@
 // edge updates a query on a fresh snapshot is exact with zero
 // maintenance. Here that property is wired all the way into the serving
 // layer: a Service installs each committed DynamicGraph snapshot with
-// Update under a new epoch without downtime — stale cache lines are
-// evicted, in-flight queries finish on the epoch they started with, and
-// every response says which generation answered it. An
+// Update under a new epoch without downtime — the new generation starts
+// with empty caches, in-flight queries finish on the epoch they started
+// with, and every response says which generation answered it. An
 // index-based method (MC) built before the updates keeps answering the
 // old graph until it pays a full rebuild.
 //
@@ -84,8 +84,9 @@ func main() {
 	fmt.Printf("\napplied %d edge insertions and committed them — service epoch is now %d\n",
 		added, epoch)
 
-	// The same request again: the pre-update cache line is gone (epoch-
-	// keyed), the answer is exact on the new graph, zero maintenance paid.
+	// The same request again: the pre-update cache line stayed with the
+	// old generation, the answer is exact on the new graph, zero
+	// maintenance paid.
 	query("after update (fresh epoch, zero maintenance)")
 
 	// The stale index still reports pre-update similarities.

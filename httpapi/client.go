@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -399,19 +400,24 @@ func (c *Client) QueryStream(ctx context.Context, req exactsim.Request, emit fun
 		return exactsim.Response{Request: req},
 			exactsim.Errorf(exactsim.CodeUnavailable, "httpapi: POST /v1/query/stream returned %s", res.Status)
 	}
-	// json.Decoder, not bufio.Scanner: a record carrying a full score
-	// vector can exceed a scanner's token cap, and NDJSON records are
-	// self-delimiting JSON anyway.
-	dec := json.NewDecoder(res.Body)
+	// Each record is one line, decoded by the answer codec's rules. A
+	// bufio.Reader, not a bufio.Scanner: a record carrying a full score
+	// vector can exceed a scanner's token cap.
+	br := bufio.NewReader(res.Body)
 	for {
-		var rec StreamRecord
-		if err := dec.Decode(&rec); err != nil {
+		line, err := br.ReadBytes('\n')
+		if err != nil && (err != io.EOF || len(line) == 0) {
 			// A stream that ends before its final record is a broken
 			// transport, not an answer — the terminal record is the only
 			// one the protocol guarantees. Wrapf keeps the cause, so a
 			// mid-stream context cancellation still matches errors.Is.
 			return exactsim.Response{Request: req},
 				exactsim.Wrapf(exactsim.CodeUnavailable, err, "httpapi: /v1/query/stream ended before the final record")
+		}
+		var rec StreamRecord
+		if err := decodeRecord(line, &rec); err != nil {
+			return exactsim.Response{Request: req},
+				exactsim.Wrapf(exactsim.CodeUnavailable, err, "httpapi: malformed /v1/query/stream record")
 		}
 		if rec.Final {
 			c.budget.Earn()

@@ -137,8 +137,7 @@ func Recovered(next http.Handler, onPanic func(v any, stack []byte)) http.Handle
 			if onPanic != nil {
 				onPanic(v, debug.Stack())
 			}
-			e := exactsim.Errorf(exactsim.CodeInternal, "httpapi: handler panic: %v", v)
-			writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+			writeError(w, exactsim.Errorf(exactsim.CodeInternal, "httpapi: handler panic: %v", v))
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -159,7 +158,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var qr QueryRequest
 	if e := decode(w, r, &qr); e != nil {
-		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		writeError(w, e)
 		return
 	}
 	ctx, cancel := s.queryContext(r.Context(), &qr)
@@ -187,17 +186,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // where a wrapping handler sees the backend's work end.
 func writeResponse(w http.ResponseWriter, resp *exactsim.Response) {
 	w.Header().Set("Content-Type", "application/json")
-	status := StatusOf(resp.Err)
+	writeAnswer(w, resp, nil)
+}
+
+// writeAnswer writes resp through the answer codec: as a /v1/query
+// answer with the status of its error, or, when final is non-nil, as one
+// stream record after the stream's status. Only a NaN or infinite float
+// fails to encode: such an answer is replaced by a coded error, still
+// echoing the request, rather than a 200 without a body.
+func writeAnswer(w http.ResponseWriter, resp *exactsim.Response, final *bool) {
 	buf := encodeBuffers.Get().(*[]byte)
-	b, err := appendResponse((*buf)[:0], resp)
+	b, err := appendAnswer((*buf)[:0], resp, final)
 	if err != nil {
-		// Only a NaN or infinite float fails to encode: answer with a
-		// coded error rather than a 200 without a body.
-		e := exactsim.Errorf(exactsim.CodeInternal, "httpapi: encoding answer: %v", err)
-		status = StatusOf(e)
-		b, _ = appendResponse(b[:0], &exactsim.Response{Err: e})
+		resp = &exactsim.Response{Request: resp.Request,
+			Err: exactsim.Errorf(exactsim.CodeInternal, "httpapi: encoding answer: %v", err)}
+		b, _ = appendAnswer(b[:0], resp, final)
 	}
-	w.WriteHeader(status)
+	if final == nil {
+		w.WriteHeader(StatusOf(resp.Err))
+	}
 	w.Write(b)
 	*buf = b
 	encodeBuffers.Put(buf)
@@ -212,7 +219,7 @@ func writeResponse(w http.ResponseWriter, resp *exactsim.Response) {
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var qr QueryRequest
 	if e := decode(w, r, &qr); e != nil {
-		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		writeError(w, e)
 		return
 	}
 	ctx, cancel := s.queryContext(r.Context(), &qr)
@@ -223,17 +230,17 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	// QueryStream calls emit sequentially and only returns after the last
-	// call, so the encoder is never written concurrently.
+	// call, so records are never written concurrently.
+	refining, final := false, true
 	resp := s.b.QueryStream(ctx, qr.Body, func(refinement exactsim.Response) {
-		enc.Encode(StreamRecord{Response: refinement})
+		writeAnswer(w, &refinement, &refining)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	})
-	enc.Encode(StreamRecord{Response: resp, Final: true})
+	writeAnswer(w, &resp, &final)
 }
 
 // expiredOnArrival reports a context already dead at tier entry as the
@@ -250,19 +257,18 @@ func expiredOnArrival(ctx context.Context) *exactsim.Error {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
 	if e := decode(w, r, &br); e != nil {
-		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		writeError(w, e)
 		return
 	}
 	if s.opts.MaxBatch > 0 && len(br.Body.Requests) > s.opts.MaxBatch {
-		e := exactsim.Errorf(exactsim.CodeInvalidArgument,
-			"httpapi: batch of %d exceeds the server bound %d", len(br.Body.Requests), s.opts.MaxBatch)
-		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		writeError(w, exactsim.Errorf(exactsim.CodeInvalidArgument,
+			"httpapi: batch of %d exceeds the server bound %d", len(br.Body.Requests), s.opts.MaxBatch))
 		return
 	}
 	ctx, cancel := s.requestContext(r.Context(), br.TimeoutMillis)
 	defer cancel()
 	if e := expiredOnArrival(ctx); e != nil {
-		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		writeError(w, e)
 		return
 	}
 	// Per-request failures live inside each Response; the batch call
@@ -316,7 +322,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		// Nothing streamed yet: the protocol error envelope can still
 		// answer, without the epoch of a generation it did not send.
 		w.Header().Del(epochHeader)
-		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		writeError(w, e)
 	}
 }
 
@@ -326,7 +332,7 @@ const epochHeader = "X-Exactsim-Graph-Epoch"
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	doc, e := s.b.AlgorithmsDoc(r.Context())
 	if e != nil {
-		writeJSON(w, StatusOf(e), exactsim.Response{Err: e})
+		writeError(w, e)
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)
@@ -431,6 +437,17 @@ func decode(w http.ResponseWriter, r *http.Request, into any) *exactsim.Error {
 		return exactsim.Errorf(exactsim.CodeInvalidArgument, "httpapi: bad request body: %v", err)
 	}
 	return nil
+}
+
+// writeError answers with a bare protocol error envelope,
+// {"error":{code, message}}: the reply of a request that decoded no query
+// to echo (a bad body, a batch, a handler panic) or whose route takes
+// none. An echo of a request nobody sent would read as a query for
+// node 0; clients fill an empty echo from their own request.
+func writeError(w http.ResponseWriter, e *exactsim.Error) {
+	writeJSON(w, StatusOf(e), struct {
+		Err *exactsim.Error `json:"error"`
+	}{e})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -216,10 +217,10 @@ func testErrorCodes(t *testing.T, ts *httptest.Server, c *httpapi.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Body.Close()
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body returned HTTP %d, want 400", res.StatusCode)
 	}
+	requireNoEcho(t, "bad body", res)
 
 	// A body over the 8 MiB bound is rejected once the bound is reached,
 	// as the body bound and not as malformed JSON: the string it is cut
@@ -229,12 +230,10 @@ func testErrorCodes(t *testing.T, ts *httptest.Server, c *httpapi.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env exactsim.Response
-	err = json.NewDecoder(res.Body).Decode(&env)
-	res.Body.Close()
-	if err != nil || res.StatusCode != http.StatusBadRequest || env.Err == nil ||
+	env := requireNoEcho(t, "oversized body", res)
+	if res.StatusCode != http.StatusBadRequest || env.Err == nil ||
 		env.Err.Code != exactsim.CodeInvalidArgument || !strings.Contains(env.Err.Message, "exceeds") {
-		t.Fatalf("oversized body: HTTP %d, %+v (%v)", res.StatusCode, env.Err, err)
+		t.Fatalf("oversized body: HTTP %d, %+v", res.StatusCode, env.Err)
 	}
 
 	// A batch over the server bound is rejected as a whole, and the
@@ -248,6 +247,30 @@ func testErrorCodes(t *testing.T, ts *httptest.Server, c *httpapi.Client) {
 			t.Fatalf("oversized batch error: %v", err)
 		}
 	}
+}
+
+// requireNoEcho reads and closes an error answer to a body that did not
+// decode, and requires it to be a bare error envelope: no request echo,
+// since the server decoded no request to echo.
+func requireNoEcho(t *testing.T, what string, res *http.Response) exactsim.Response {
+	t.Helper()
+	data, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(data, &members); err != nil {
+		t.Fatalf("%s: answer is not a JSON object: %v\n%s", what, err, data)
+	}
+	if echo, ok := members["request"]; ok {
+		t.Fatalf("%s: answer echoes a request nobody sent: %s", what, echo)
+	}
+	var env exactsim.Response
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	return env
 }
 
 // TestHTTPBatch: mixed success/failure batch over the wire, responses in

@@ -25,6 +25,13 @@ import (
 // writes for resp, trailing newline included. It fails, as encoding/json
 // does, only on a NaN or infinite float.
 func appendResponse(b []byte, resp *exactsim.Response) ([]byte, error) {
+	return appendAnswer(b, resp, nil)
+}
+
+// appendAnswer is appendResponse, or, when final is non-nil, the same for
+// the StreamRecord of resp and *final: one /v1/query/stream record, on a
+// line of its own.
+func appendAnswer(b []byte, resp *exactsim.Response, final *bool) ([]byte, error) {
 	b = append(b, `{"request":`...)
 	b, err := appendMarshal(b, resp.Request)
 	if err != nil {
@@ -76,6 +83,10 @@ func appendResponse(b []byte, resp *exactsim.Response) ([]byte, error) {
 		if b, err = appendMarshal(b, resp.Err); err != nil {
 			return b, err
 		}
+	}
+	if final != nil {
+		b = append(b, `,"final":`...)
+		b = strconv.AppendBool(b, *final)
 	}
 	return append(b, "}\n"...), nil
 }
@@ -144,6 +155,24 @@ const maxDepth = 64
 // folding, and a name spelled with escapes is an unknown member. The
 // small members decode through encoding/json.
 func DecodeResponse(data []byte, resp *exactsim.Response) error {
+	return decodeAnswer(data, resp, nil)
+}
+
+// decodeRecord decodes one /v1/query/stream record by DecodeResponse's
+// rules, with "final" one more member it reads.
+func decodeRecord(data []byte, rec *StreamRecord) error {
+	rec.Final = false
+	err := decodeAnswer(data, &rec.Response, &rec.Final)
+	if err != nil {
+		rec.Final = false
+	}
+	return err
+}
+
+// decodeAnswer holds the one member switch of answers and stream
+// records. final, when non-nil, receives a record's "final" member, which
+// an answer skips as unknown.
+func decodeAnswer(data []byte, resp *exactsim.Response, final *bool) error {
 	*resp = exactsim.Response{}
 	s := scanner{data: data}
 	err := s.document(func(key []byte) error {
@@ -176,6 +205,10 @@ func DecodeResponse(data []byte, resp *exactsim.Response) error {
 			return s.unmarshal(1, &resp.AchievedEpsilon)
 		case "error":
 			return s.unmarshal(1, &resp.Err)
+		case "final":
+			if final != nil {
+				return s.unmarshal(1, final)
+			}
 		}
 		return s.skip(1)
 	})

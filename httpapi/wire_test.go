@@ -126,8 +126,9 @@ func sameResponse(a, b exactsim.Response) string {
 }
 
 // TestResponseWireBytes pins the codec to encoding/json: every answer in
-// the corpus encodes to the same bytes, and both decoders read those
-// bytes back to the same answer, scores bit for bit.
+// the corpus encodes to the same bytes, as an answer and as a stream
+// record, and both decoders read those bytes back to the same answer,
+// scores bit for bit.
 func TestResponseWireBytes(t *testing.T) {
 	for name, resp := range wireCorpus() {
 		t.Run(name, func(t *testing.T) {
@@ -160,6 +161,18 @@ func TestResponseWireBytes(t *testing.T) {
 			}
 			if err := httpapi.ScanResponse(want); err != nil {
 				t.Fatalf("relay scan rejected a well-formed answer: %v", err)
+			}
+			for _, final := range []bool{false, true} {
+				rec := httpapi.StreamRecord{Response: resp, Final: final}
+				var std bytes.Buffer
+				if err := json.NewEncoder(&std).Encode(rec); err != nil {
+					t.Fatal(err)
+				}
+				got, err := httpapi.AppendRecord(nil, &rec)
+				if err != nil || !bytes.Equal(got, std.Bytes()) {
+					t.Fatalf("record (final=%v) bytes differ from encoding/json (%v):\n codec: %.120q\n  json: %.120q",
+						final, err, got, std.Bytes())
+				}
 			}
 		})
 	}
@@ -348,6 +361,9 @@ func (b stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // FuzzQueryStream: the NDJSON reader every client and router runs on an
 // untrusted /v1/query/stream body never panics, and ends every 200 body
 // in one of two ways: a final record, or a coded unavailable error.
+// Records are read by the answer codec's rules: split the body into
+// lines as the client does, and every record it passes to emit, or
+// returns, is DecodeResponse of its line.
 func FuzzQueryStream(f *testing.F) {
 	var stream bytes.Buffer
 	enc := json.NewEncoder(&stream)
@@ -362,6 +378,7 @@ func FuzzQueryStream(f *testing.F) {
 		`{"final":true}`, `{"final":false}` + "\n" + `{"final":true,"error":{"code":"not_found","message":"x"}}`,
 		`null`, `[]`, `{"final":"yes"}`, `{"FINAL":true}`, `{"final":true,"result":{"scores":[1e999]}}`,
 		`{"final":true,"top_k":[{"idx":-1}],"plan":{}}`, "\x00\xff",
+		`{"FINAL":true,"Result":{"Scores":[0.5]}}` + "\n" + `{"final":true}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -371,13 +388,27 @@ func FuzzQueryStream(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = c.QueryStream(context.Background(), exactsim.Request{Source: 1}, func(exactsim.Response) {})
+		var passed []exactsim.Response
+		final, err := c.QueryStream(context.Background(), exactsim.Request{Source: 1},
+			func(r exactsim.Response) { passed = append(passed, r) })
 		if err == nil {
-			return // a final record
+			passed = append(passed, final)
+		} else {
+			var pe *exactsim.Error
+			if !errors.As(err, &pe) || pe.Code != exactsim.CodeUnavailable {
+				t.Fatalf("a stream body ended in %v, not a final record or a coded unavailable", err)
+			}
 		}
-		var pe *exactsim.Error
-		if !errors.As(err, &pe) || pe.Code != exactsim.CodeUnavailable {
-			t.Fatalf("a stream body ended in %v, not a final record or a coded unavailable", err)
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		for i, got := range passed {
+			var want exactsim.Response
+			if err := httpapi.DecodeResponse(lines[i], &want); err != nil {
+				t.Fatalf("record %d was passed on, but DecodeResponse rejects its bytes: %v\n%q", i, err, lines[i])
+			}
+			if diff := sameResponse(got, want); diff != "" {
+				t.Fatalf("record %d differs from DecodeResponse of its bytes: %s\n got: %+v\nwant: %+v",
+					i, diff, got, want)
+			}
 		}
 	})
 }

@@ -184,6 +184,12 @@ func (ix *SampleIndex) ReadFrom(r io.Reader) (int64, error) {
 	if count > 1<<32 {
 		return read, fmt.Errorf("diag: implausible spill entry count %d", count)
 	}
+	// Only a bound index holds entries. Unbound ones would be adopted by
+	// the first graph to query the index, and serve samples drawn for
+	// another.
+	if flags&spillFlagBound == 0 && count > 0 {
+		return read, fmt.Errorf("diag: unbound spill carries %d entries", count)
+	}
 	crc := store.NewCRC64()
 	crc.Write(hdr[:])
 

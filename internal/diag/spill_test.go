@@ -2,14 +2,17 @@ package diag
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"github.com/exactsim/exactsim/internal/gen"
 	"github.com/exactsim/exactsim/internal/graph"
+	"github.com/exactsim/exactsim/internal/store"
 )
 
 // warmIndex builds an index and fills it through a real Batch run.
-func warmIndex(t *testing.T, g *graph.Graph, seed uint64, budget int64) *SampleIndex {
+func warmIndex(t testing.TB, g *graph.Graph, seed uint64, budget int64) *SampleIndex {
 	t.Helper()
 	ix := NewSampleIndex(budget)
 	reqs := make([]Request, 0, g.N())
@@ -23,7 +26,7 @@ func warmIndex(t *testing.T, g *graph.Graph, seed uint64, budget int64) *SampleI
 	return ix
 }
 
-func spillBytes(t *testing.T, ix *SampleIndex) []byte {
+func spillBytes(t testing.TB, ix *SampleIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := ix.WriteTo(&buf)
@@ -257,4 +260,65 @@ func TestReadSpillInfo(t *testing.T) {
 	if info.Chunks != st.Chunks || info.Explores != st.Explores {
 		t.Fatalf("spill info counts %d/%d != stats %d/%d", info.Chunks, info.Explores, st.Chunks, st.Explores)
 	}
+}
+
+// FuzzSpillReader throws arbitrary bytes at the spill reader: the path a
+// peer's /v1/snapshot body takes to SampleIndex.ReadFrom when a daemon
+// clones it. The harness rewrites the trailing CRC64 to match, so
+// mutations get past the checksum and reach entry decoding. ReadFrom and
+// ReadSpillInfo never panic; a spill ReadFrom accepts is one
+// ReadSpillInfo reads, never leaves entries in an unbound index (the
+// first query would adopt them for any graph), and re-spills through
+// WriteTo to bytes ReadSpillInfo reads back with the same binding and
+// entry counts.
+func FuzzSpillReader(f *testing.F) {
+	data := spillBytes(f, warmIndex(f, gen.BarabasiAlbert(24, 2, 5), 3, 0))
+	f.Add(data)
+	f.Add(data[:spillHeaderSize])
+	f.Add(data[:len(data)/2])
+	f.Add(spillBytes(f, NewSampleIndex(0)))
+	unbound := bytes.Clone(data)
+	binary.LittleEndian.PutUint16(unbound[6:], 0)
+	f.Add(unbound)
+	// The first entry twice, its count raised to match.
+	first := spillChunkSize
+	if data[spillHeaderSize] == 1 {
+		first = spillExploreSize
+	}
+	dup := bytes.Clone(data[:spillHeaderSize+first])
+	dup = append(dup, data[spillHeaderSize:]...)
+	binary.LittleEndian.PutUint64(dup[40:], binary.LittleEndian.Uint64(data[40:])+1)
+	f.Add(dup)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if n := len(data); n >= 8 {
+			data = bytes.Clone(data)
+			binary.LittleEndian.PutUint64(data[n-8:], store.CRC64(data[:n-8]))
+		}
+		info, infoErr := ReadSpillInfo(bytes.NewReader(data))
+		ix := NewSampleIndex(0)
+		if _, err := ix.ReadFrom(bytes.NewReader(data)); err != nil {
+			return
+		}
+		if infoErr != nil {
+			t.Fatalf("ReadFrom accepted a spill ReadSpillInfo rejects: %v", infoErr)
+		}
+		if st := ix.Stats(); !ix.bound && st.Chunks+st.Explores > 0 {
+			t.Fatalf("an unbound spill restored %d chunks and %d explorations", st.Chunks, st.Explores)
+		}
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadSpillInfo(&buf)
+		if err != nil {
+			t.Fatalf("a re-spilled index does not read back: %v", err)
+		}
+		if again.Bound != info.Bound || again.Chunks != info.Chunks || again.Explores != info.Explores {
+			t.Fatalf("re-spill reads back as %+v, accepted spill was %+v", again, info)
+		}
+		if info.Bound && (again.GraphChecksum != info.GraphChecksum || again.Seed != info.Seed ||
+			math.Float64bits(again.C) != math.Float64bits(info.C)) {
+			t.Fatalf("re-spill changed the binding: %+v, accepted spill was %+v", again, info)
+		}
+	})
 }

@@ -2,124 +2,113 @@ package exactsim
 
 import (
 	"container/list"
+	"context"
 	"sync"
 )
 
-// cacheKey identifies one cached single-source answer. Epsilon is part of
-// the key because the same (algorithm, source) pair answers differently at
-// different error targets; 0 means "service default". The epoch pins an
-// entry to the graph generation it was computed on — epochs never repeat,
-// so a post-update query can never match a pre-update entry.
-type cacheKey struct {
-	epoch     uint64
-	algorithm string
-	source    NodeID
-	epsilon   float64
-}
-
-// resultCache is a fixed-capacity LRU over full single-source results.
-// Top-k requests are served from the cached full vector, so one cached
-// query answers every k. Safe for concurrent use.
-type resultCache struct {
+// memo is a bounded LRU of single-flight entries: the Service's one
+// mechanism for "compute a keyed value once, keep the recent ones". The
+// first caller to claim a key leads: it computes the value and finishes
+// the entry, while later claimants wait on it under their own contexts.
+// A value the leader keeps joins the LRU, which holds at most cap of
+// them; an entry still computing stays outside it, so it is never
+// evicted. A value the leader does not keep (a failure, or an answer
+// good only for its own caller) still reaches its waiters, and the key
+// is forgotten, so the next claim leads again. Capacity ≤ 0 keeps
+// nothing, yet waiters still receive their leader's value. Safe for
+// concurrent use.
+type memo[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used
-	items map[cacheKey]*list.Element
+	ll    list.List // kept entries; front = most recently used
+	items map[K]*memoEntry[K, V]
 }
 
-type cacheSlot struct {
-	key cacheKey
-	res *QueryResult
+// memoEntry is one key's value, or the promise of it while its leader
+// computes.
+type memoEntry[K comparable, V any] struct {
+	key  K
+	done chan struct{} // closed once val and keep are set
+	val  V
+	keep bool
+	el   *list.Element // position in the LRU once kept
 }
 
-func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &resultCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[cacheKey]*list.Element, capacity),
-	}
+func newMemo[K comparable, V any](capacity int) *memo[K, V] {
+	return &memo[K, V]{cap: capacity, items: make(map[K]*memoEntry[K, V])}
 }
 
-// get returns the cached result for key, refreshing its recency.
-func (c *resultCache) get(key cacheKey) (*QueryResult, bool) {
-	if c == nil {
-		return nil, false
+// get returns key's kept value, refreshing its recency.
+func (m *memo[K, V]) get(key K) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.items[key]; ok && e.el != nil {
+		m.ll.MoveToFront(e.el)
+		return e.val, true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheSlot).res, true
+	var zero V
+	return zero, false
 }
 
-// put inserts (or refreshes) a result, evicting the least recently used
-// entry when over capacity. The cached *QueryResult is shared with every
-// future hit; callers must treat it as read-only.
-func (c *resultCache) put(key cacheKey, res *QueryResult) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheSlot).res = res
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheSlot{key: key, res: res})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheSlot).key)
-	}
-}
-
-// evictIf removes every entry whose key matches drop — Service.Update
-// uses it to reclaim the capacity stale-epoch entries would otherwise
-// squat on until natural eviction.
-func (c *resultCache) evictIf(drop func(cacheKey) bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		if key := el.Value.(*cacheSlot).key; drop(key) {
-			c.ll.Remove(el)
-			delete(c.items, key)
+// claim returns key's entry and whether the caller leads it. A leader
+// must finish the entry; anyone else waits on it. Claiming a kept entry
+// refreshes its recency.
+func (m *memo[K, V]) claim(key K) (*memoEntry[K, V], bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.items[key]; ok {
+		if e.el != nil {
+			m.ll.MoveToFront(e.el)
 		}
+		return e, false
+	}
+	e := &memoEntry[K, V]{key: key, done: make(chan struct{})}
+	m.items[key] = e
+	return e, true
+}
+
+// finish hands the leader's value to e's waiters. A kept value joins the
+// LRU, evicting the least recently used beyond capacity; otherwise the
+// key is forgotten.
+func (m *memo[K, V]) finish(e *memoEntry[K, V], val V, keep bool) {
+	m.mu.Lock()
+	e.val, e.keep = val, keep
+	if keep && m.cap > 0 {
+		e.el = m.ll.PushFront(e)
+		for m.ll.Len() > m.cap {
+			old := m.ll.Remove(m.ll.Back()).(*memoEntry[K, V])
+			delete(m.items, old.key)
+		}
+	} else {
+		delete(m.items, e.key)
+	}
+	m.mu.Unlock()
+	close(e.done)
+}
+
+// put keeps val under key unless the key is present: kept already, or
+// computing under a leader who will finish it.
+func (m *memo[K, V]) put(key K, val V) {
+	if e, leader := m.claim(key); leader {
+		m.finish(e, val, true)
 	}
 }
 
-// remove deletes one entry if present — the undo half of the
-// put-then-recheck dance Service.execute does against concurrent epoch
-// updates.
-func (c *resultCache) remove(key cacheKey) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
+// len reports the kept entries.
+func (m *memo[K, V]) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ll.Len()
 }
 
-// len reports the current entry count.
-func (c *resultCache) len() int {
-	if c == nil {
-		return 0
+// wait blocks until e's leader finishes it, or ctx ends, and returns the
+// leader's value and whether the leader chose to keep it.
+func (e *memoEntry[K, V]) wait(ctx context.Context) (V, bool, error) {
+	select {
+	case <-e.done:
+		return e.val, e.keep, nil
+	case <-ctx.Done():
+		var zero V
+		return zero, false, ctx.Err()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

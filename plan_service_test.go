@@ -267,7 +267,7 @@ func TestAutoDeadlineFitStampsDegraded(t *testing.T) {
 	defer cancel()
 
 	// Stand in for a strict answer at ε = 1e-6, too costly to compute here.
-	svc.cache.put(cacheKey{epoch: svc.Epoch(), algorithm: "exactsim", source: 6, epsilon: 1e-6}, warm.Result)
+	svc.state.Load().answers.put(answerKey{algorithm: "exactsim", source: 6, epsilon: 1e-6}, warm.Result)
 	hit := svc.Query(ctx, Request{Source: 6, Epsilon: 1e-6, AllowPartial: true})
 	want := PlanInfo{Algorithm: "exactsim", EffectiveEpsilon: 1e-6, Reason: "tight-epsilon"}
 	if !hit.CacheHit || hit.Degraded || hit.Plan == nil || *hit.Plan != want {
@@ -392,12 +392,14 @@ func TestQueryStreamNonLadderAlgorithm(t *testing.T) {
 }
 
 // TestPlanEstimates: the capability surface the HTTP layer serves —
-// one calibrated cost row per registry method.
+// one calibrated cost row per built-in method the planner costs. Not per
+// registry name: other tests register fake algorithms in the same
+// process, so the registry grows under -count > 1.
 func TestPlanEstimates(t *testing.T) {
 	svc := newPlanService(t, GenerateBarabasiAlbert(200, 3, 19))
 	ests := svc.PlanEstimates()
-	if len(ests) != len(Algorithms()) {
-		t.Fatalf("PlanEstimates() returned %d rows, want %d", len(ests), len(Algorithms()))
+	if len(ests) != len(AlgorithmCaps()) {
+		t.Fatalf("PlanEstimates() returned %d rows, want %d", len(ests), len(AlgorithmCaps()))
 	}
 	for _, e := range ests {
 		if e.Units <= 0 || e.Nanos <= 0 {

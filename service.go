@@ -39,14 +39,16 @@ type ServiceOptions struct {
 	// blocked, so an overloaded service answers fast instead of growing
 	// an unbounded line. 0 selects 4×Workers.
 	QueueDepth int
-	// CacheSize is the single-source LRU capacity, keyed by (epoch,
-	// algorithm, source, ε). 0 selects 1024; negative disables caching.
+	// CacheSize bounds the complete single-source answers each graph
+	// generation keeps, keyed by (algorithm, source, ε), least recently
+	// used dropped first. 0 selects 1024; negative keeps none, though
+	// concurrent requests for one key still share one computation.
 	CacheSize int
-	// MaxQueriers bounds the retained (epoch, algorithm, ε) queriers —
-	// each can hold a full index, so the map must not grow with every
-	// distinct client-supplied epsilon. Least-recently-used queriers are
-	// dropped beyond the bound (in-flight queries keep theirs; the
-	// structures are immutable). 0 selects 64.
+	// MaxQueriers bounds the built (algorithm, ε) queriers each graph
+	// generation keeps — each can hold a full index, so the set must not
+	// grow with every distinct client-supplied epsilon. Least recently
+	// used queriers are dropped beyond the bound (in-flight queries keep
+	// theirs; the structures are immutable). 0 selects 64.
 	MaxQueriers int
 	// DefaultAlgorithm answers requests with an empty Algorithm field.
 	// Empty selects AlgorithmAuto: the adaptive planner picks the
@@ -172,7 +174,8 @@ type Response struct {
 	Result *QueryResult `json:"result,omitempty"`
 	// TopK is populated when Request.K > 0.
 	TopK []Entry `json:"top_k,omitempty"`
-	// CacheHit reports whether Result came from the LRU. Serialized even
+	// CacheHit reports whether Result came from the answer cache, or from
+	// a concurrent request's computation of the same key. Serialized even
 	// when false — the §6 wire examples show it explicitly.
 	CacheHit bool `json:"cache_hit"`
 	// GraphEpoch is the graph generation this response was computed on.
@@ -255,11 +258,13 @@ const DefaultWarmTopDegree = 32
 type ServiceStats struct {
 	// Queries is the number of requests answered (including failures).
 	Queries int64 `json:"queries"`
-	// CacheHits counts requests served from the LRU.
+	// CacheHits counts requests served from the answer cache, or by
+	// another request's computation of the same key.
 	CacheHits int64 `json:"cache_hits"`
 	// Errors counts requests that returned a non-nil Err.
 	Errors int64 `json:"errors"`
-	// CachedResults is the current LRU entry count.
+	// CachedResults is the number of answers the current graph generation
+	// keeps.
 	CachedResults int `json:"cached_results"`
 	// QueueDepth is the number of queries waiting for a worker right now.
 	QueueDepth int `json:"queue_depth"`
@@ -268,7 +273,8 @@ type ServiceStats struct {
 	// CPUsLent counts the helpers lent so far: idle worker CPUs that
 	// joined a running ExactSim query's diagonal phase.
 	CPUsLent int64 `json:"cpus_lent"`
-	// Queriers is the number of retained (epoch, algorithm, ε) queriers.
+	// Queriers is the number of built (algorithm, ε) queriers the current
+	// graph generation keeps; builds still running do not count.
 	Queriers int `json:"queriers"`
 	// GraphEpoch is the current graph generation (starts at 1).
 	GraphEpoch uint64 `json:"graph_epoch"`
@@ -319,9 +325,9 @@ type ServiceStats struct {
 // graphState is one immutable graph generation. Queries capture the
 // current state once at entry and use it throughout, so an Update landing
 // mid-query never mixes epochs inside one response. The diagonal sample
-// index lives here — not on the Service — so epoch isolation is
-// structural: a query can only ever reach the index of the generation it
-// captured, and a dropped generation takes its chunks with it.
+// index and the memos live here — not on the Service — so epoch isolation
+// is structural: a query can only ever reach the caches of the generation
+// it captured, and a dropped generation takes them with it.
 type graphState struct {
 	g       *Graph
 	epoch   uint64
@@ -331,27 +337,35 @@ type graphState struct {
 	// the diag index — a plan can only ever be made from the generation
 	// the query captured.
 	planner *plan.Planner
+	// queriers holds the built queriers, bounded by MaxQueriers; answers
+	// holds complete answers, bounded by CacheSize. Each runs one
+	// computation per key at a time.
+	queriers *memo[querierKey, built]
+	answers  *memo[answerKey, *QueryResult]
 }
 
 // Service is a concurrent SimRank query front-end over a live graph: a
 // bounded worker pool executing Querier calls, per-query deadlines with
-// cancellation honored inside the algorithms' computation loops, an LRU
-// cache of single-source results keyed by (epoch, algorithm, source, ε),
-// lazy per-algorithm querier construction, and epoch-based graph
-// generations — Update installs a new snapshot under the next epoch
-// without downtime (the paper's index-free property is what makes this
-// cheap: no index maintenance, just fresh queriers on the new snapshot).
+// cancellation honored inside the algorithms' computation loops, and
+// epoch-based graph generations — Update installs a new snapshot under
+// the next epoch without downtime (the paper's index-free property is
+// what makes this cheap: no index maintenance, just fresh queriers on the
+// new snapshot). Each generation owns its caches: an LRU of complete
+// single-source answers keyed by (algorithm, source, ε), and lazily built
+// queriers keyed by (algorithm, ε), each computed once per key however
+// many requests ask for it at the same time.
 //
-// Queriers are cached per (epoch, algorithm, ε) and shared across workers —
-// the underlying engines are immutable after construction, so concurrent
-// queries are safe (verified by the race-detector tests).
+// Queriers are shared across workers — the underlying engines are
+// immutable after construction, so concurrent queries are safe (verified
+// by the race-detector tests).
 //
 // Synchronization discipline (one per field group, audited in PR 8):
 // monotonic stats counters are atomics read lock-free by Stats; each
-// mutable map or flag lives under exactly one named mutex (updateMu,
-// closeMu, querierMu, flightMu) and is never also touched atomically;
-// state is an atomic pointer swapped only under updateMu. Keep new
-// fields in one of these groups rather than inventing a mixed idiom.
+// mutable flag lives under exactly one named mutex (updateMu, closeMu)
+// and is never also touched atomically; state is an atomic pointer
+// swapped only under updateMu, and the memos it points to lock
+// themselves. Keep new fields in one of these groups rather than
+// inventing a mixed idiom.
 type Service struct {
 	opts ServiceOptions
 
@@ -377,23 +391,6 @@ type Service struct {
 	// closed state; pushes after close are rejected, never a panic).
 	closeMu sync.RWMutex
 	closed  bool
-
-	// queriers are lazily built per (epoch, algorithm, ε), one build in
-	// flight per key (single-flight); the map is LRU-bounded by
-	// MaxQueriers, and Update drops every completed stale-epoch entry.
-	querierMu  sync.Mutex
-	queriers   map[querierKey]*querierSlot
-	querierSeq int64
-
-	// inflight dedupes identical cacheable requests: concurrent queries
-	// for the same (epoch, algorithm, source, ε) elect one leader to
-	// compute while the rest wait on its flight — without this, N clients
-	// asking for the same cold key would saturate the pool with N copies
-	// of the same expensive computation (cache stampede).
-	flightMu sync.Mutex
-	inflight map[cacheKey]*flight
-
-	cache *resultCache
 
 	// graphCloser, when set (OpenSnapshot), releases the mmap'd mapping
 	// backing the initial graph after the workers drain on Close.
@@ -437,32 +434,28 @@ type Service struct {
 	lastPanic atomic.Pointer[string]
 }
 
-// querierKey identifies one constructed querier. Unlike the result
-// cacheKey it has no source field — a querier answers every source — and
-// the distinct type keeps a future edit from accidentally fragmenting the
-// querier map per source. The epoch pins a querier to the graph
-// generation it was built on.
+// answerKey identifies one complete single-source answer. Epsilon is
+// part of the key because the same (algorithm, source) pair answers
+// differently at different error targets; 0 means "service default".
+type answerKey struct {
+	algorithm string
+	source    NodeID
+	epsilon   float64
+}
+
+// querierKey identifies one constructed querier. Unlike answerKey it has
+// no source field — a querier answers every source — and the distinct
+// type keeps a future edit from accidentally fragmenting the querier memo
+// per source.
 type querierKey struct {
-	epoch     uint64
 	algorithm string
 	epsilon   float64
 }
 
-// querierSlot is the single-flight build state for one key. The creator
-// spawns the build; everyone else waits on done under their own context,
-// so a slow index build never blocks a worker past its request deadline.
-type querierSlot struct {
-	done chan struct{}
-	q    Querier
-	err  error
-	seq  int64 // recency for LRU eviction, guarded by Service.querierMu
-}
-
-// flight is one in-progress cacheable computation; waiters block on done
-// under their own contexts and read resp afterwards.
-type flight struct {
-	done chan struct{}
-	resp Response
+// built is the outcome of one querier build.
+type built struct {
+	q   Querier
+	err error
 }
 
 type serviceJob struct {
@@ -514,9 +507,6 @@ func newService(g *Graph, opts ServiceOptions, restoredIdx *DiagSampleIndex) (*S
 		opts:        opts,
 		buildCtx:    buildCtx,
 		cancelBuild: cancelBuild,
-		queriers:    make(map[querierKey]*querierSlot),
-		inflight:    make(map[cacheKey]*flight),
-		cache:       newResultCache(opts.CacheSize),
 		baseEpsilon: baseCfg.Epsilon,
 		lender:      diag.NewLender(min(opts.Workers, runtime.GOMAXPROCS(0))),
 	}
@@ -533,10 +523,12 @@ func newService(g *Graph, opts ServiceOptions, restoredIdx *DiagSampleIndex) (*S
 	return s, nil
 }
 
-// newState assembles one graph generation, with its own empty diagonal
-// sample index when indexing is enabled.
+// newState assembles one graph generation, with its own empty memos and,
+// when indexing is enabled, its own empty diagonal sample index.
 func (s *Service) newState(g *Graph, epoch uint64) *graphState {
-	st := &graphState{g: g, epoch: epoch, planner: plan.New(g, s.baseEpsilon)}
+	st := &graphState{g: g, epoch: epoch, planner: plan.New(g, s.baseEpsilon),
+		queriers: newMemo[querierKey, built](s.opts.MaxQueriers),
+		answers:  newMemo[answerKey, *QueryResult](s.opts.CacheSize)}
 	if s.opts.DiagIndexBytes >= 0 {
 		st.diagIdx = NewDiagSampleIndex(s.opts.DiagIndexBytes)
 	}
@@ -545,10 +537,9 @@ func (s *Service) newState(g *Graph, epoch uint64) *graphState {
 
 // Update installs g as the next graph generation and returns its epoch.
 // In-flight queries finish consistently on the epoch they started with;
-// new queries see g immediately. Stale-epoch cache entries are evicted
-// and stale completed queriers dropped (in-flight builds keep running for
-// the queries already waiting on them). Update on a closed service
-// returns CodeClosed.
+// new queries see g immediately, with the new generation's empty caches,
+// so nothing computed on an older graph can answer them. Update on a
+// closed service returns CodeClosed.
 func (s *Service) Update(g *Graph) (uint64, error) {
 	if g == nil {
 		return 0, Errorf(CodeInvalidArgument, "exactsim: nil graph")
@@ -563,20 +554,6 @@ func (s *Service) Update(g *Graph) (uint64, error) {
 	s.state.Store(st)
 	s.updateMu.Unlock()
 	s.closeMu.RUnlock()
-
-	// Epochs never repeat, so a stale key can never be looked up again:
-	// dropping the entries only reclaims memory. Slots mid-build are
-	// removed from the map too — their waiters hold the slot pointer and
-	// finish on their own epoch; the build's failure-path delete becomes
-	// a no-op.
-	s.querierMu.Lock()
-	for k := range s.queriers {
-		if k.epoch < st.epoch {
-			delete(s.queriers, k)
-		}
-	}
-	s.querierMu.Unlock()
-	s.cache.evictIf(func(k cacheKey) bool { return k.epoch < st.epoch })
 	return st.epoch, nil
 }
 
@@ -656,66 +633,68 @@ func (s *Service) query(ctx context.Context, req Request, emit func(Response)) R
 	return s.stampDegraded(st, resp, auto, asked, ran)
 }
 
-// cached looks req up in the result cache (never for NoCache requests).
+// cached looks req up in st's answers (never for NoCache requests).
 func (s *Service) cached(st *graphState, req Request) (*QueryResult, bool) {
 	if req.NoCache {
 		return nil, false
 	}
-	return s.cache.get(cacheKey{epoch: st.epoch, algorithm: req.Algorithm,
-		source: req.Source, epsilon: req.Epsilon})
+	return st.answers.get(answerKey{algorithm: req.Algorithm, source: req.Source, epsilon: req.Epsilon})
 }
 
-// compute answers req under the plan that runs. Cacheable requests go
-// through the cache and a request-level single-flight: concurrent
-// queries for the same cold key elect one leader to compute; the rest
-// wait on its flight (or their own context) instead of duplicating the
-// work across the pool. The key carries st.epoch, so requests racing an
-// Update dedupe only within their generation.
+// compute answers req under the plan that runs, through st's answer
+// memo: concurrent queries for the same cold key elect one leader to
+// compute; the rest wait on it (or their own context) instead of
+// duplicating the work across the pool — N clients asking for the same
+// cold key would otherwise saturate the pool with N copies of the same
+// expensive computation (cache stampede). NoCache requests bypass the
+// memo, both lookup and fill.
 func (s *Service) compute(ctx context.Context, st *graphState, req Request, emit func(Response)) Response {
-	if req.NoCache || emit != nil {
+	if req.NoCache {
+		return s.dispatch(ctx, st, req, emit)
+	}
+	key := answerKey{algorithm: req.Algorithm, source: req.Source, epsilon: req.Epsilon}
+	if emit != nil {
 		// Streaming requests want the refinement sequence, which another
 		// leader's single answer cannot provide — they bypass the
 		// single-flight (the cache pre-check in query still
-		// short-circuits warm keys straight to the terminal record).
-		return s.dispatch(ctx, st, req, emit)
-	}
-	key := cacheKey{epoch: st.epoch, algorithm: req.Algorithm,
-		source: req.Source, epsilon: req.Epsilon}
-	for {
-		if res, ok := s.cache.get(key); ok {
-			return s.respond(st, req, res, true)
+		// short-circuits warm keys straight to the terminal record), and
+		// only fill the memo.
+		resp := s.dispatch(ctx, st, req, emit)
+		if complete(resp) {
+			st.answers.put(key, resp.Result)
 		}
-		s.flightMu.Lock()
-		if f, ok := s.inflight[key]; ok {
-			s.flightMu.Unlock()
-			select {
-			case <-f.done:
-				if f.resp.Err == nil && f.resp.Result != nil && !f.resp.Partial {
-					// Served by the leader's computation: a hit as far as
-					// this request is concerned. A Partial leader answer is
-					// NOT shareable — its deadline is not ours.
-					return s.respond(st, req, f.resp.Result, true)
-				}
-				// The leader failed (its deadline, a build error): its
-				// error is not ours — loop and retry, perhaps as leader.
-				continue
-			case <-ctx.Done():
-				return s.fail(st, req, ToError(ctx.Err()))
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		s.inflight[key] = f
-		s.flightMu.Unlock()
-
-		resp := s.dispatch(ctx, st, req, nil)
-
-		f.resp = resp
-		s.flightMu.Lock()
-		delete(s.inflight, key)
-		s.flightMu.Unlock()
-		close(f.done)
 		return resp
 	}
+	for {
+		if res, ok := st.answers.get(key); ok {
+			return s.respond(st, req, res, true)
+		}
+		e, leader := st.answers.claim(key)
+		if leader {
+			resp := s.dispatch(ctx, st, req, nil)
+			st.answers.finish(e, resp.Result, complete(resp))
+			return resp
+		}
+		res, ok, err := e.wait(ctx)
+		if err != nil {
+			return s.fail(st, req, ToError(err))
+		}
+		if ok {
+			// Served by the leader's computation: a hit as far as this
+			// request is concerned.
+			return s.respond(st, req, res, true)
+		}
+		// The leader failed (its deadline, a build error) or answered
+		// Partial (its deadline is not ours): loop and retry, perhaps as
+		// leader.
+	}
+}
+
+// complete reports whether resp is an answer the memo may keep and share:
+// it succeeded and met its target accuracy. A Partial tier never enters
+// the memo.
+func complete(resp Response) bool {
+	return resp.Err == nil && !resp.Partial
 }
 
 // stampDegraded is the pipeline's one exit. An answer whose plan differs
@@ -1055,16 +1034,15 @@ func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit
 		return s.fail(st, req, ToError(err))
 	}
 	st.planner.Observe(req.Algorithm, req.Epsilon, time.Since(start))
-	s.fillCache(st, req, res)
 	return s.respond(st, req, res, false)
 }
 
 // executeLadder evaluates req coarse→target along tiers (the last tier is
-// req.Epsilon verbatim, so the terminal answer — and its cache line — is
-// byte-identical to the one-shot path). Intermediate tiers go to emit as
-// Partial records; a deadline firing mid-ladder ships the best completed
-// tier for AllowPartial requests and the plain coded error for everyone
-// else (the strict contract survives streaming).
+// req.Epsilon verbatim, so the terminal answer — and the memo entry it
+// fills — is byte-identical to the one-shot path). Intermediate tiers go
+// to emit as Partial records; a deadline firing mid-ladder ships the best
+// completed tier for AllowPartial requests and the plain coded error for
+// everyone else (the strict contract survives streaming).
 func (s *Service) executeLadder(ctx context.Context, st *graphState, req Request, emit func(Response), tiers []float64) Response {
 	var (
 		best    *QueryResult
@@ -1119,7 +1097,6 @@ func (s *Service) executeLadder(ctx context.Context, st *graphState, req Request
 			emit(r)
 		}
 	}
-	s.fillCache(st, req, best)
 	return s.respond(st, req, best, false)
 }
 
@@ -1132,26 +1109,6 @@ func (s *Service) partial(st *graphState, req Request, res *QueryResult, achieve
 	resp.AchievedEpsilon = achieved
 	s.partialResults.Add(1)
 	return resp
-}
-
-// fillCache inserts res under this query's epoch — unless the world moved
-// on mid-computation, in which case the entry could never be hit again
-// (epochs never repeat) and would only squat in the LRU. The re-check
-// after put closes the race with a concurrent Update whose evictIf ran
-// between our epoch check and the insert. Only complete target-accuracy
-// results belong here — partial tiers never enter the cache.
-func (s *Service) fillCache(st *graphState, req Request, res *QueryResult) {
-	if req.NoCache {
-		return
-	}
-	key := cacheKey{epoch: st.epoch, algorithm: req.Algorithm,
-		source: req.Source, epsilon: req.Epsilon}
-	if s.state.Load().epoch == st.epoch {
-		s.cache.put(key, res)
-		if s.state.Load().epoch != st.epoch {
-			s.cache.remove(key)
-		}
-	}
 }
 
 // recordPanic converts a recovered panic value into the CodeInternal
@@ -1179,58 +1136,45 @@ func (s *Service) fail(st *graphState, req Request, err *Error) Response {
 	return Response{Request: req, GraphEpoch: st.epoch, Err: err}
 }
 
-// querier returns the shared querier for (st.epoch, algorithm, ε). The
-// first request for a key spawns a single-flight build under the
-// service's lifetime context — deliberately NOT the request's: a short
-// per-request deadline must not abort (and so force endless retries of)
-// an index build that later requests need. Waiters block on the build
-// under their own ctx, so a worker is released at its request's deadline
-// even while the build continues. A failed build removes the slot, so a
-// later request can retry it.
+// querier returns st's shared querier for (algorithm, ε). The first
+// request for a key leads its build, which runs under the service's
+// lifetime context — deliberately NOT the request's: a short per-request
+// deadline must not abort (and so force endless retries of) an index
+// build that later requests need. Every request waits on the build under
+// its own ctx, so a worker is released at its request's deadline even
+// while the build continues. A failed build is forgotten, so a later
+// request retries it.
 func (s *Service) querier(ctx context.Context, st *graphState, algorithm string, epsilon float64) (Querier, error) {
-	key := querierKey{epoch: st.epoch, algorithm: algorithm, epsilon: epsilon}
-	s.querierMu.Lock()
-	slot, ok := s.queriers[key]
-	if !ok {
-		slot = &querierSlot{done: make(chan struct{})}
-		s.queriers[key] = slot
-		s.evictQueriersLocked()
-		go s.build(key, slot, st, algorithm, epsilon)
+	e, leader := st.queriers.claim(querierKey{algorithm: algorithm, epsilon: epsilon})
+	if leader {
+		go s.build(st, e)
 	}
-	s.querierSeq++
-	slot.seq = s.querierSeq
-	s.querierMu.Unlock()
-
-	select {
-	case <-slot.done:
-		return slot.q, slot.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	b, _, err := e.wait(ctx)
+	if err != nil {
+		return nil, err
 	}
+	return b.q, b.err
 }
 
-// build constructs one querier over st's epoch snapshot and publishes it
-// on the slot. On failure the slot is removed from the map so the next
-// request retries; after an Update the delete is a no-op (Update already
-// dropped the stale key). Every querier of one epoch shares that epoch's
-// diagonal sample index: queriers differing only in ε draw identical
-// chunk streams, so one warm index serves them all.
-func (s *Service) build(key querierKey, slot *querierSlot, st *graphState, algorithm string, epsilon float64) {
-	// Deferred in LIFO order: the recover must run before the close so
-	// waiters blocked on slot.done observe slot.err, and the slot must be
-	// removed so a later request can retry the build.
-	defer close(slot.done)
+// build constructs the querier e's key names over st's graph and
+// finishes e, keeping it only when the build succeeded. Every querier of one
+// generation shares that generation's diagonal sample index: queriers
+// differing only in ε draw identical chunk streams, so one warm index
+// serves them all.
+func (s *Service) build(st *graphState, e *memoEntry[querierKey, built]) {
+	var b built
+	// The recover runs before finish, so the waiters of a panicked build
+	// see its CodeInternal error, and the key is forgotten so a later
+	// request can retry the build.
 	defer func() {
 		if v := recover(); v != nil {
-			s.querierMu.Lock()
-			delete(s.queriers, key)
-			s.querierMu.Unlock()
-			slot.err = s.recordPanic("querier build", v)
+			b = built{err: s.recordPanic("querier build", v)}
 		}
+		st.queriers.finish(e, b, b.err == nil)
 	}()
 	opts := append([]QuerierOption(nil), s.opts.QuerierOptions...)
-	if epsilon != 0 {
-		opts = append(opts, WithEpsilon(epsilon))
+	if e.key.epsilon != 0 {
+		opts = append(opts, WithEpsilon(e.key.epsilon))
 	}
 	if st.diagIdx != nil {
 		opts = append(opts, WithDiagIndex(st.diagIdx))
@@ -1238,72 +1182,22 @@ func (s *Service) build(key querierKey, slot *querierSlot, st *graphState, algor
 	// ExactSim queriers borrow the workers' idle CPUs; the other
 	// algorithms never read the field.
 	opts = append(opts, func(cfg *algo.Config) { cfg.Lender = s.lender })
-	q, err := NewQuerierCtx(s.buildCtx, algorithm, st.g, opts...)
-	if err != nil {
-		s.querierMu.Lock()
-		delete(s.queriers, key)
-		s.querierMu.Unlock()
-		slot.err = err
-	} else {
-		slot.q = q
-		// A queued query that captured its graphState before an Update
-		// can (re-)insert a stale-epoch key after Update's purge already
-		// ran; without this check the old-graph index it built would be
-		// retained (unreachable — epochs never repeat) until the next
-		// Update. Waiters hold the slot pointer, so dropping the map
-		// entry is safe in every interleaving: Update-then-build deletes
-		// here, build-then-Update deletes in Update.
-		if key.epoch < s.state.Load().epoch {
-			s.querierMu.Lock()
-			delete(s.queriers, key)
-			s.querierMu.Unlock()
-		}
-	}
-}
-
-// evictQueriersLocked drops least-recently-used completed queriers beyond
-// MaxQueriers. Callers must hold querierMu. In-flight queries (and
-// waiters, via their slot pointer) keep using an evicted querier safely —
-// the underlying structures are immutable — it just stops being shared.
-func (s *Service) evictQueriersLocked() {
-	for len(s.queriers) > s.opts.MaxQueriers {
-		var (
-			oldestKey querierKey
-			oldest    *querierSlot
-		)
-		for k, slot := range s.queriers {
-			select {
-			case <-slot.done:
-			default:
-				continue // never evict a build in flight
-			}
-			if oldest == nil || slot.seq < oldest.seq {
-				oldestKey, oldest = k, slot
-			}
-		}
-		if oldest == nil {
-			return // everything is mid-build; nothing evictable
-		}
-		delete(s.queriers, oldestKey)
-	}
+	b.q, b.err = NewQuerierCtx(s.buildCtx, e.key.algorithm, st.g, opts...)
 }
 
 // Stats returns a snapshot of the service counters and gauges.
 func (s *Service) Stats() ServiceStats {
-	s.querierMu.Lock()
-	queriers := len(s.queriers)
-	s.querierMu.Unlock()
 	st := s.state.Load()
 	sheds, codelDrops, sojourn := s.queue.dropStats()
 	out := ServiceStats{
 		Queries:            s.queries.Load(),
 		CacheHits:          s.cacheHits.Load(),
 		Errors:             s.errors.Load(),
-		CachedResults:      s.cache.len(),
+		CachedResults:      st.answers.len(),
 		QueueDepth:         s.queue.depth(),
 		InFlight:           s.lender.Running(),
 		CPUsLent:           s.lender.Lent(),
-		Queriers:           queriers,
+		Queriers:           st.queriers.len(),
 		GraphEpoch:         st.epoch,
 		ShedQueries:        sheds,
 		CoDelDrops:         codelDrops,

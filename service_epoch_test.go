@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	exactsim "github.com/exactsim/exactsim"
 )
@@ -65,6 +66,42 @@ func TestServiceUpdateInvalidatesCache(t *testing.T) {
 	}
 	if again := svc.Query(context.Background(), req); !again.CacheHit || again.GraphEpoch != 2 {
 		t.Fatalf("new-epoch cache line not filled: hit=%v epoch=%d", again.CacheHit, again.GraphEpoch)
+	}
+}
+
+// TestServiceUpdateReleasesAnswers: a replaced graph generation takes
+// its caches with it. An answer cached before Update is garbage, within a
+// bounded number of collections, once no query holds it.
+func TestServiceUpdateReleasesAnswers(t *testing.T) {
+	g := exactsim.GenerateBarabasiAlbert(200, 3, 1)
+	svc, err := exactsim.NewService(g, exactsim.ServiceOptions{
+		Workers:        1,
+		QuerierOptions: []exactsim.QuerierOption{exactsim.WithSeed(4), exactsim.WithIterations(10)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	req := exactsim.Request{Algorithm: "parsim", Source: 3}
+	cached := func() weak.Pointer[exactsim.QueryResult] {
+		first := svc.Query(context.Background(), req)
+		if first.Err != nil {
+			t.Fatal(first.Err)
+		}
+		if hit := svc.Query(context.Background(), req); !hit.CacheHit || hit.Result != first.Result {
+			t.Fatal("the answer was not cached")
+		}
+		return weak.Make(first.Result)
+	}()
+	if _, err := svc.Update(exactsim.GenerateBarabasiAlbert(200, 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; cached.Value() != nil; i++ {
+		if i == 10 {
+			t.Fatalf("an answer cached before Update is still reachable after %d collections", i)
+		}
+		runtime.GC()
 	}
 }
 

@@ -6,6 +6,7 @@
 package exactsim_test
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -84,43 +85,32 @@ func BenchmarkAblationComponents(b *testing.B) { runFigure(b, "ablation-extra") 
 
 // Micro-benchmarks of the public query path at representative settings.
 
-func benchQuery(b *testing.B, optimized bool, eps float64) {
+func benchQuery(b *testing.B, algorithm string, eps float64) {
 	b.Helper()
+	ctx := context.Background()
 	g := exactsim.GenerateBarabasiAlbert(5000, 4, 1)
-	eng, err := exactsim.New(g, exactsim.Options{
-		Epsilon: eps, Optimized: optimized, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := newQuerier(b, algorithm, g, exactsim.WithEpsilon(eps), exactsim.WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.SingleSource(exactsim.NodeID(i % g.N())); err != nil {
+		if _, err := q.SingleSource(ctx, exactsim.NodeID(i%g.N())); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSingleSourceOptimizedEps1e2 is the optimized engine at ε=1e-2.
-func BenchmarkSingleSourceOptimizedEps1e2(b *testing.B) { benchQuery(b, true, 1e-2) }
+func BenchmarkSingleSourceOptimizedEps1e2(b *testing.B) { benchQuery(b, "exactsim", 1e-2) }
 
 // BenchmarkSingleSourceOptimizedEps1e3 is the optimized engine at ε=1e-3.
-func BenchmarkSingleSourceOptimizedEps1e3(b *testing.B) { benchQuery(b, true, 1e-3) }
+func BenchmarkSingleSourceOptimizedEps1e3(b *testing.B) { benchQuery(b, "exactsim", 1e-3) }
 
 // BenchmarkSingleSourceBasicEps1e2 is the basic (ablation) engine at ε=1e-2.
-func BenchmarkSingleSourceBasicEps1e2(b *testing.B) { benchQuery(b, false, 1e-2) }
+func BenchmarkSingleSourceBasicEps1e2(b *testing.B) { benchQuery(b, "exactsim-basic", 1e-2) }
 
 // BenchmarkTopK500 measures top-k extraction on a full score vector.
 func BenchmarkTopK500(b *testing.B) {
 	g := exactsim.GenerateBarabasiAlbert(50000, 4, 1)
-	eng, err := exactsim.New(g, exactsim.Options{Epsilon: 1e-1, Optimized: true, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := eng.SingleSource(0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := query(b, "exactsim", g, 0, exactsim.WithEpsilon(1e-1), exactsim.WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		exactsim.TopKOf(res.Scores, 500, 0)

@@ -512,19 +512,8 @@ func (r *Router) tryOne(ctx context.Context, b *backend, req exactsim.Request, h
 	}
 	// A protocol error comes without a body, so a retryable reply never
 	// carries one.
-	res.retryable = res.resp.Err != nil && retryableCode(res.resp.Err.Code) && retryable
+	res.retryable = res.resp.Err != nil && res.resp.Err.Code.Retryable() && retryable
 	return res
-}
-
-// retryableCode reports whether another replica could plausibly answer
-// where this one refused. Deadline/cancel are the caller's own bounds;
-// invalid_argument and not_found would fail identically everywhere.
-func retryableCode(c exactsim.ErrorCode) bool {
-	switch c {
-	case exactsim.CodeUnavailable, exactsim.CodeClosed, exactsim.CodeInternal:
-		return true
-	}
-	return false
 }
 
 // hedgeDelay is the tracked HedgeQuantile latency clamped to the

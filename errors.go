@@ -39,9 +39,23 @@ const (
 	// Matches ErrServiceClosed under errors.Is.
 	CodeClosed ErrorCode = "closed"
 	// CodeInternal is an unexpected server-side failure (a querier build
-	// error, a panic turned response). Not retryable by default.
+	// error, a panic turned response). Retryable: another attempt, or
+	// another replica, may not fail the same way.
 	CodeInternal ErrorCode = "internal"
 )
+
+// Retryable reports whether a request refused with code c is worth
+// sending again, to the same server later or to another replica:
+// unavailable, closed and internal. Deadline and cancel are the caller's
+// own bounds; invalid_argument and not_found would fail identically
+// everywhere.
+func (c ErrorCode) Retryable() bool {
+	switch c {
+	case CodeUnavailable, CodeClosed, CodeInternal:
+		return true
+	}
+	return false
+}
 
 // Error is the serializable per-request error of the query protocol. It
 // travels inside Response (and so over any transport) where a bare Go

@@ -56,3 +56,21 @@ func TestWrapfNilCause(t *testing.T) {
 		t.Error("Unwrap() != nil for nil cause")
 	}
 }
+
+// TestErrorCodeRetryable pins the one retry rule the client and the
+// router share: every code of the taxonomy, and whether it re-sends.
+func TestErrorCodeRetryable(t *testing.T) {
+	for code, want := range map[ErrorCode]bool{
+		CodeInvalidArgument:  false,
+		CodeNotFound:         false,
+		CodeDeadlineExceeded: false,
+		CodeCanceled:         false,
+		CodeUnavailable:      true,
+		CodeClosed:           true,
+		CodeInternal:         true,
+	} {
+		if got := code.Retryable(); got != want {
+			t.Errorf("%s.Retryable() = %v, want %v", code, got, want)
+		}
+	}
+}

@@ -37,9 +37,6 @@
 // OpenSnapshot restores in milliseconds with the graph mmap'd zero-copy;
 // see DESIGN.md §8.
 //
-// The legacy engine-per-algorithm constructors (New, BuildMCIndex, ...)
-// remain for direct access to algorithm-specific records.
-//
 // # Packages
 //
 // The root package is a facade over the internal implementation:
@@ -62,12 +59,6 @@ import (
 	"github.com/exactsim/exactsim/internal/eval"
 	"github.com/exactsim/exactsim/internal/gen"
 	"github.com/exactsim/exactsim/internal/graph"
-	"github.com/exactsim/exactsim/internal/lineariz"
-	"github.com/exactsim/exactsim/internal/mc"
-	"github.com/exactsim/exactsim/internal/parsim"
-	"github.com/exactsim/exactsim/internal/powermethod"
-	"github.com/exactsim/exactsim/internal/probesim"
-	"github.com/exactsim/exactsim/internal/prsim"
 	"github.com/exactsim/exactsim/internal/sparse"
 )
 
@@ -183,42 +174,12 @@ func NewDiagSampleIndex(budgetBytes int64) *DiagSampleIndex {
 // factor and seed (mismatches bypass it).
 func WithDiagIndex(ix *DiagSampleIndex) QuerierOption { return algo.WithDiagIndex(ix) }
 
-// ExactSim types.
-type (
-	// Options configures an ExactSim engine; see the field docs in
-	// internal/core for the error/optimization knobs.
-	Options = core.Options
-	// Engine answers single-source and top-k SimRank queries.
-	Engine = core.Engine
-	// Result carries the score vector plus cost accounting.
-	Result = core.Result
-)
+// Result carries the score vector plus cost accounting of one ExactSim
+// query; it is the Detail of an exactsim or exactsim-basic QueryResult.
+type Result = core.Result
 
-// Baseline types re-exported for head-to-head evaluation.
+// Dataset and evaluation types.
 type (
-	// MCParams configures the Monte-Carlo walk-index baseline.
-	MCParams = mc.Params
-	// MCIndex is the Fogaras–Rácz walk-fingerprint index.
-	MCIndex = mc.Index
-	// ParSimParams configures the D=(1−c)I iterative baseline.
-	ParSimParams = parsim.Params
-	// ParSimEngine answers ParSim queries.
-	ParSimEngine = parsim.Engine
-	// LinearizationParams configures the Linearization baseline.
-	LinearizationParams = lineariz.Params
-	// LinearizationIndex holds Linearization's estimated diagonal.
-	LinearizationIndex = lineariz.Index
-	// PRSimParams configures the PRSim hub-index baseline.
-	PRSimParams = prsim.Params
-	// PRSimIndex is PRSim's hub index.
-	PRSimIndex = prsim.Index
-	// ProbeSimParams configures the index-free ProbeSim baseline
-	// (related work §2.1; an extension beyond the paper's figures).
-	ProbeSimParams = probesim.Params
-	// ProbeSimEngine answers ProbeSim queries.
-	ProbeSimEngine = probesim.Engine
-	// SimRankMatrix is a dense all-pairs matrix from the power method.
-	SimRankMatrix = powermethod.Matrix
 	// Dataset describes one Table-2 dataset stand-in.
 	Dataset = dataset.Spec
 	// PoolEntry and PoolResult belong to the §2 pooling protocol.
@@ -235,14 +196,8 @@ const (
 	ExactEpsilon = core.ExactEpsilon
 )
 
-// New builds an ExactSim engine for g.
-func New(g *Graph, opt Options) (*Engine, error) { return core.New(g, opt) }
-
 // NewGraphBuilder returns a builder for a graph with n nodes.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
-
-// NewDynamicGraph returns an empty dynamic graph with n nodes.
-func NewDynamicGraph(n int) *DynamicGraph { return graph.NewDynamic(n) }
 
 // DynamicFrom initializes a dynamic graph from an existing snapshot.
 func DynamicFrom(g *Graph) *DynamicGraph { return graph.DynamicFrom(g) }
@@ -305,53 +260,14 @@ func GenerateRMAT(scale, m int, seed uint64) *Graph {
 	return gen.RMAT(scale, m, 0.57, 0.19, 0.19, 0.05, seed)
 }
 
-// Baselines.
-
-// BuildMCIndex preprocesses the Monte-Carlo walk index.
-func BuildMCIndex(g *Graph, p MCParams) *MCIndex { return mc.Build(g, p) }
-
-// NewParSim returns the D=(1−c)I iterative baseline.
-func NewParSim(g *Graph, p ParSimParams) *ParSimEngine { return parsim.New(g, p) }
-
-// BuildLinearization preprocesses the Linearization baseline (the
-// O(n·log n/ε²) diagonal estimation the paper criticizes).
-func BuildLinearization(g *Graph, p LinearizationParams) *LinearizationIndex {
-	return lineariz.Build(g, p)
-}
-
-// BuildPRSim preprocesses the PRSim hub index.
-func BuildPRSim(g *Graph, p PRSimParams) *PRSimIndex { return prsim.Build(g, p) }
-
-// NewProbeSim returns the index-free ProbeSim baseline.
-func NewProbeSim(g *Graph, p ProbeSimParams) *ProbeSimEngine { return probesim.New(g, p) }
-
-// PowerMethod computes the exact all-pairs SimRank matrix (O(n²) memory —
-// small graphs only). L ≤ 0 picks enough iterations for ~1e-9 residual.
-func PowerMethod(g *Graph, c float64, L int) *SimRankMatrix {
-	return powermethod.Compute(g, powermethod.Options{C: c, L: L})
-}
-
 // Evaluation metrics (paper §4).
 
 // MaxError is max_j |got(j) − truth(j)|.
 func MaxError(got, truth []float64) float64 { return eval.MaxError(got, truth) }
 
-// AvgError is the mean absolute error.
-func AvgError(got, truth []float64) float64 { return eval.AvgError(got, truth) }
-
 // PrecisionAtK scores an approximate top-k against the true scores.
 func PrecisionAtK(approx, truth []float64, k int, source NodeID) float64 {
 	return eval.PrecisionAtK(approx, truth, k, source)
-}
-
-// NDCGAtK scores an approximate ranking by discounted cumulative gain.
-func NDCGAtK(approx, truth []float64, k int, source NodeID) float64 {
-	return eval.NDCGAtK(approx, truth, k, source)
-}
-
-// KendallTauAtK measures rank correlation over the true top-k set.
-func KendallTauAtK(approx, truth []float64, k int, source NodeID) float64 {
-	return eval.KendallTauAtK(approx, truth, k, source)
 }
 
 // TopKOf extracts the k best entries of a score vector, excluding source.

@@ -1,6 +1,7 @@
 package exactsim_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,32 +11,70 @@ import (
 	exactsim "github.com/exactsim/exactsim"
 )
 
+// newQuerier builds the named registry querier over g, failing the test
+// on error.
+func newQuerier(t testing.TB, name string, g *exactsim.Graph, opts ...exactsim.QuerierOption) exactsim.Querier {
+	t.Helper()
+	q, err := exactsim.NewQuerier(name, g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// query answers one single-source query through a fresh registry querier;
+// query(t, "powermethod", g, src) is the ground-truth row.
+func query(t testing.TB, name string, g *exactsim.Graph, src exactsim.NodeID, opts ...exactsim.QuerierOption) *exactsim.QueryResult {
+	t.Helper()
+	res, err := newQuerier(t, name, g, opts...).SingleSource(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestPublicAPIEndToEnd exercises the facade the way README's quick start
 // does: generate, query, evaluate.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	g := exactsim.GenerateBarabasiAlbert(300, 3, 7)
-	truth := exactsim.PowerMethod(g, exactsim.DefaultC, 40)
+	truth := query(t, "powermethod", g, 5, exactsim.WithIterations(40)).Scores
 
-	eng, err := exactsim.New(g, exactsim.Options{Epsilon: 1e-3, Optimized: true, Seed: 1})
+	// One TopK call computes the full single-source vector and ranks it;
+	// the Result it returns is the answer SingleSource would give.
+	q := newQuerier(t, "exactsim", g, exactsim.WithEpsilon(1e-3), exactsim.WithSeed(1))
+	top, res, err := q.TopK(context.Background(), 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.SingleSource(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := exactsim.MaxError(res.Scores, truth.Row(5)); e > 1e-3 {
+	if e := exactsim.MaxError(res.Scores, truth); e > 1e-3 {
 		t.Fatalf("MaxError %g above configured epsilon", e)
 	}
-	if p := exactsim.PrecisionAtK(res.Scores, truth.Row(5), 20, 5); p < 0.95 {
+	if p := exactsim.PrecisionAtK(res.Scores, truth, 20, 5); p < 0.95 {
 		t.Fatalf("Precision@20 = %g", p)
-	}
-	top, _, err := eng.TopK(5, 10)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(top) != 10 {
 		t.Fatalf("TopK returned %d entries", len(top))
+	}
+}
+
+// TestResultDetail: an ExactSim querier's QueryResult.Detail is the
+// *exactsim.Result behind the answer. examples/quickstart prints its
+// phase times and the benchmark reads its kernel metrics from it.
+func TestResultDetail(t *testing.T) {
+	g := exactsim.GenerateBarabasiAlbert(100, 3, 5)
+	for _, variant := range exactSimVariants {
+		name := variant.algorithm
+		res := query(t, name, g, 3, exactsim.WithEpsilon(0.1), exactsim.WithSeed(1))
+		det, ok := res.Detail.(*exactsim.Result)
+		if !ok {
+			t.Fatalf("%s: Detail is %T, want *exactsim.Result", name, res.Detail)
+		}
+		if det.L <= 0 {
+			t.Fatalf("%s: Detail.L = %d", name, det.L)
+		}
+		if i, ok := scoresBitEqual(det.Scores, res.Scores); !ok {
+			t.Fatalf("%s: Detail.Scores differ from the answer's at %d", name, i)
+		}
 	}
 }
 
@@ -95,24 +134,20 @@ func TestLoadEdgeListFromDisk(t *testing.T) {
 
 func TestBaselinesThroughFacade(t *testing.T) {
 	g := exactsim.GenerateBarabasiAlbert(120, 3, 3)
-	truth := exactsim.PowerMethod(g, exactsim.DefaultC, 40)
 	src := exactsim.NodeID(4)
+	truth := query(t, "powermethod", g, src, exactsim.WithIterations(40)).Scores
 
-	mcIdx := exactsim.BuildMCIndex(g, exactsim.MCParams{C: 0.6, L: 20, R: 400, Seed: 1})
-	ps := exactsim.NewParSim(g, exactsim.ParSimParams{C: 0.6, L: 30})
-	lin := exactsim.BuildLinearization(g, exactsim.LinearizationParams{C: 0.6, Eps: 0.05, Seed: 2})
-	pr := exactsim.BuildPRSim(g, exactsim.PRSimParams{C: 0.6, Eps: 0.05, Seed: 3})
-
-	for name, scores := range map[string][]float64{
-		"mc":     mcIdx.SingleSource(src),
-		"parsim": ps.SingleSource(src),
-		"linear": lin.SingleSource(src),
-		"prsim":  pr.SingleSource(src),
+	for name, opts := range map[string][]exactsim.QuerierOption{
+		"mc":            {exactsim.WithWalks(20, 400), exactsim.WithSeed(1)},
+		"parsim":        {exactsim.WithIterations(30)},
+		"linearization": {exactsim.WithEpsilon(0.05), exactsim.WithSeed(2)},
+		"prsim":         {exactsim.WithEpsilon(0.05), exactsim.WithSeed(3)},
 	} {
+		scores := query(t, name, g, src, opts...).Scores
 		if len(scores) != g.N() {
 			t.Fatalf("%s returned %d scores", name, len(scores))
 		}
-		e := exactsim.MaxError(scores, truth.Row(int(src)))
+		e := exactsim.MaxError(scores, truth)
 		if math.IsNaN(e) || e > 0.5 {
 			t.Fatalf("%s wildly wrong: MaxError %g", name, e)
 		}
@@ -121,8 +156,8 @@ func TestBaselinesThroughFacade(t *testing.T) {
 
 func TestPoolThroughFacade(t *testing.T) {
 	g := exactsim.GenerateBarabasiAlbert(80, 3, 9)
-	eng, _ := exactsim.New(g, exactsim.Options{Epsilon: 1e-3, Seed: 4, Optimized: true})
-	top, _, err := eng.TopK(2, 5)
+	q := newQuerier(t, "exactsim", g, exactsim.WithEpsilon(1e-3), exactsim.WithSeed(4))
+	top, _, err := q.TopK(context.Background(), 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +168,22 @@ func TestPoolThroughFacade(t *testing.T) {
 	}
 }
 
-func TestTopKOfMatchesEngineTopK(t *testing.T) {
+func TestTopKOfMatchesQuerierTopK(t *testing.T) {
+	ctx := context.Background()
 	g := exactsim.GenerateBarabasiAlbert(60, 3, 11)
-	eng, _ := exactsim.New(g, exactsim.Options{Epsilon: 1e-3, Seed: 6, Optimized: true})
-	res, err := eng.SingleSource(1)
+	q := newQuerier(t, "exactsim", g, exactsim.WithEpsilon(1e-3), exactsim.WithSeed(6))
+	res, err := q.SingleSource(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := exactsim.TopKOf(res.Scores, 7, 1)
-	b, _, _ := eng.TopK(1, 7)
+	b, _, err := q.TopK(ctx, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		if a[i].Idx != b[i].Idx {
-			t.Fatalf("TopKOf and Engine.TopK disagree at %d", i)
+			t.Fatalf("TopKOf and Querier.TopK disagree at %d", i)
 		}
 	}
 }

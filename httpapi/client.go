@@ -502,26 +502,19 @@ func (c *Client) Stats(ctx context.Context) (exactsim.ServiceStats, error) {
 
 // Health probes GET /healthz.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	res, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	drainClose(res.Body)
-	if res.StatusCode != http.StatusOK {
-		return exactsim.Errorf(exactsim.CodeUnavailable, "httpapi: health check returned %s", res.Status)
-	}
-	return nil
+	return c.probe(ctx, "/healthz", "health")
 }
 
 // Ready probes GET /readyz — readiness, not liveness: a 200 means the
 // server wants new traffic; a draining or epoch-less server answers 503
 // while /healthz still reports it alive. Routers poll this one.
 func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
+	return c.probe(ctx, "/readyz", "readiness")
+}
+
+// probe GETs path and reports anything but a 200 as unavailable.
+func (c *Client) probe(ctx context.Context, path, check string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return err
 	}
@@ -531,7 +524,7 @@ func (c *Client) Ready(ctx context.Context) error {
 	}
 	drainClose(res.Body)
 	if res.StatusCode != http.StatusOK {
-		return exactsim.Errorf(exactsim.CodeUnavailable, "httpapi: readiness check returned %s", res.Status)
+		return exactsim.Errorf(exactsim.CodeUnavailable, "httpapi: %s check returned %s", check, res.Status)
 	}
 	return nil
 }
@@ -673,11 +666,7 @@ func (c *Client) backoff(ctx context.Context, prev *time.Duration, floor time.Du
 func retryableError(err error) bool {
 	var pe *exactsim.Error
 	if errors.As(err, &pe) {
-		switch pe.Code {
-		case exactsim.CodeUnavailable, exactsim.CodeClosed, exactsim.CodeInternal:
-			return true
-		}
-		return false
+		return pe.Code.Retryable()
 	}
 	// Deliberate non-retry on context errors: the caller's budget is gone.
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -279,7 +279,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var wr WarmRequest
 	if e := decode(w, r, &wr); e != nil {
-		writeJSON(w, StatusOf(e), exactsim.WarmResponse{Err: e})
+		writeError(w, e)
 		return
 	}
 	// MaxBatch bounds the warm fan-out the same way it bounds batch
@@ -295,16 +295,15 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if fanout > s.opts.MaxBatch {
-			e := exactsim.Errorf(exactsim.CodeInvalidArgument,
-				"httpapi: warm fan-out of %d sources exceeds the server bound %d", fanout, s.opts.MaxBatch)
-			writeJSON(w, StatusOf(e), exactsim.WarmResponse{Err: e})
+			writeError(w, exactsim.Errorf(exactsim.CodeInvalidArgument,
+				"httpapi: warm fan-out of %d sources exceeds the server bound %d", fanout, s.opts.MaxBatch))
 			return
 		}
 	}
 	ctx, cancel := s.requestContext(r.Context(), wr.TimeoutMillis)
 	defer cancel()
 	if e := expiredOnArrival(ctx); e != nil {
-		writeJSON(w, StatusOf(e), exactsim.WarmResponse{Err: e})
+		writeError(w, e)
 		return
 	}
 	resp := s.b.Warm(ctx, wr.Body)

@@ -247,11 +247,29 @@ func testErrorCodes(t *testing.T, ts *httptest.Server, c *httpapi.Client) {
 			t.Fatalf("oversized batch error: %v", err)
 		}
 	}
+
+	// A warm rejected before it runs answers the same bare envelope: no
+	// counts for a pass that never ran, and no graph epoch.
+	for what, body := range map[string]string{
+		"warm bad body":       `{not json`,
+		"warm over the bound": `{"sources":[0,1,2,3,4]}`,
+	} {
+		res, err := http.Post(ts.URL+"/v1/warm", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := requireNoEcho(t, what, res)
+		if res.StatusCode != http.StatusBadRequest || env.Err == nil ||
+			env.Err.Code != exactsim.CodeInvalidArgument {
+			t.Fatalf("%s: HTTP %d, %+v", what, res.StatusCode, env.Err)
+		}
+	}
 }
 
-// requireNoEcho reads and closes an error answer to a body that did not
-// decode, and requires it to be a bare error envelope: no request echo,
-// since the server decoded no request to echo.
+// requireNoEcho reads and closes an error answer to a request that was
+// rejected before it ran, and requires it to be a bare error envelope:
+// its only member is error. There is no request echo, since the server
+// decoded no request to echo, and no counts or epoch of work never done.
 func requireNoEcho(t *testing.T, what string, res *http.Response) exactsim.Response {
 	t.Helper()
 	data, err := io.ReadAll(res.Body)
@@ -263,8 +281,8 @@ func requireNoEcho(t *testing.T, what string, res *http.Response) exactsim.Respo
 	if err := json.Unmarshal(data, &members); err != nil {
 		t.Fatalf("%s: answer is not a JSON object: %v\n%s", what, err, data)
 	}
-	if echo, ok := members["request"]; ok {
-		t.Fatalf("%s: answer echoes a request nobody sent: %s", what, echo)
+	if _, ok := members["error"]; !ok || len(members) != 1 {
+		t.Fatalf("%s: answer is not a bare error envelope: %s", what, data)
 	}
 	var env exactsim.Response
 	if err := json.Unmarshal(data, &env); err != nil {

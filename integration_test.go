@@ -19,35 +19,27 @@ func TestIntegrationFullStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := exactsim.PowerMethod(g, exactsim.DefaultC, 0)
 	src := exactsim.NodeID(11)
-	truthRow := truth.Row(int(src))
+	truthRow := query(t, "powermethod", g, src).Scores
 
 	// ExactSim at eps=1e-4 must beat every approximate method on MaxError.
-	eng, err := exactsim.New(g, exactsim.Options{Epsilon: 1e-4, Optimized: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.SingleSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := query(t, "exactsim", g, src, exactsim.WithEpsilon(1e-4), exactsim.WithSeed(2))
 	exactErr := exactsim.MaxError(res.Scores, truthRow)
 	if exactErr > 1e-4 {
 		t.Fatalf("ExactSim error %g above configured eps", exactErr)
 	}
 
 	methods := map[string][]float64{
-		"mc": exactsim.BuildMCIndex(g,
-			exactsim.MCParams{C: 0.6, L: 15, R: 300, Seed: 3}).SingleSource(src),
-		"parsim": exactsim.NewParSim(g,
-			exactsim.ParSimParams{C: 0.6, L: 40}).SingleSource(src),
-		"linearization": exactsim.BuildLinearization(g,
-			exactsim.LinearizationParams{C: 0.6, Eps: 0.02, Seed: 4}).SingleSource(src),
-		"prsim": exactsim.BuildPRSim(g,
-			exactsim.PRSimParams{C: 0.6, Eps: 0.02, Seed: 5}).SingleSource(src),
-		"probesim": exactsim.NewProbeSim(g,
-			exactsim.ProbeSimParams{C: 0.6, Eps: 0.02, Seed: 6}).SingleSource(src),
+		"mc": query(t, "mc", g, src,
+			exactsim.WithWalks(15, 300), exactsim.WithSeed(3)).Scores,
+		"parsim": query(t, "parsim", g, src,
+			exactsim.WithIterations(40)).Scores,
+		"linearization": query(t, "linearization", g, src,
+			exactsim.WithEpsilon(0.02), exactsim.WithSeed(4)).Scores,
+		"prsim": query(t, "prsim", g, src,
+			exactsim.WithEpsilon(0.02), exactsim.WithSeed(5)).Scores,
+		"probesim": query(t, "probesim", g, src,
+			exactsim.WithEpsilon(0.02), exactsim.WithSeed(6)).Scores,
 	}
 	for name, scores := range methods {
 		err := exactsim.MaxError(scores, truthRow)
@@ -57,17 +49,15 @@ func TestIntegrationFullStudy(t *testing.T) {
 		if err > 0.2 {
 			t.Fatalf("%s error %g implausibly large", name, err)
 		}
-		// ranking metrics must be self-consistent
-		p := exactsim.PrecisionAtK(scores, truthRow, 20, src)
-		n := exactsim.NDCGAtK(scores, truthRow, 20, src)
-		if p < 0 || p > 1 || n < 0 || n > 1+1e-9 {
-			t.Fatalf("%s: precision %g / ndcg %g out of range", name, p, n)
+		// the ranking metric must be self-consistent
+		if p := exactsim.PrecisionAtK(scores, truthRow, 20, src); p < 0 || p > 1 {
+			t.Fatalf("%s: precision %g out of range", name, p)
 		}
 	}
 
 	// ParSim bias floor: error identical for L=40 and L=400.
 	ps40 := methods["parsim"]
-	ps400 := exactsim.NewParSim(g, exactsim.ParSimParams{C: 0.6, L: 400}).SingleSource(src)
+	ps400 := query(t, "parsim", g, src, exactsim.WithIterations(400)).Scores
 	e40 := exactsim.MaxError(ps40, truthRow)
 	e400 := exactsim.MaxError(ps400, truthRow)
 	if math.Abs(e40-e400) > 1e-6 {
@@ -77,9 +67,9 @@ func TestIntegrationFullStudy(t *testing.T) {
 		t.Fatalf("ParSim bias floor %g suspiciously low", e400)
 	}
 
-	// The ranking metrics should prefer the exact result.
-	if tau := exactsim.KendallTauAtK(res.Scores, truthRow, 50, src); tau < 0.95 {
-		t.Fatalf("ExactSim tau@50 = %g", tau)
+	// The exact result's top 50 should be the true top 50.
+	if p := exactsim.PrecisionAtK(res.Scores, truthRow, 50, src); p < 0.95 {
+		t.Fatalf("ExactSim precision@50 = %g", p)
 	}
 
 	// Pooling must rank ExactSim at the top among all participants.
@@ -109,14 +99,7 @@ func TestIntegrationFullStudy(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("source had no edges to remove")
 	}
-	eng2, err := exactsim.New(dyn.Snapshot(), exactsim.Options{Epsilon: 1e-3, Optimized: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := eng2.SingleSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := query(t, "exactsim", dyn.Snapshot(), src, exactsim.WithEpsilon(1e-3), exactsim.WithSeed(2))
 	for j, v := range res2.Scores {
 		if exactsim.NodeID(j) != src && v > 1e-3 {
 			t.Fatalf("isolated source still similar to %d (%g)", j, v)

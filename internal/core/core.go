@@ -34,7 +34,6 @@ import (
 	"github.com/exactsim/exactsim/internal/graph"
 	"github.com/exactsim/exactsim/internal/linalg"
 	"github.com/exactsim/exactsim/internal/ppr"
-	"github.com/exactsim/exactsim/internal/sparse"
 )
 
 // DefaultC is the decay factor used by the paper's evaluation (§4).
@@ -239,9 +238,6 @@ func (e *Engine) putScratch(sc *queryScratch, clean bool) {
 
 // Options returns the engine's normalized options.
 func (e *Engine) Options() Options { return e.opt }
-
-// Graph returns the underlying graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // SingleSource runs ExactSim (Algorithm 1, plus §3.2 optimizations when
 // enabled) for the given source node.
@@ -570,20 +566,4 @@ func (e *Engine) SingleSourceWithD(source graph.NodeID, d []float64) (*Result, e
 	res.Scores = s
 	res.ExtraBytes = ppr.TotalBytes(hops) + 3*int64(n)*8
 	return res, nil
-}
-
-// TopK returns the k nodes most similar to source (source excluded),
-// sorted by descending SimRank, along with the underlying Result.
-func (e *Engine) TopK(source graph.NodeID, k int) ([]sparse.Entry, *Result, error) {
-	return e.TopKCtx(context.Background(), source, k)
-}
-
-// TopKCtx is TopK under a context; see SingleSourceCtx for the
-// cancellation granularity.
-func (e *Engine) TopKCtx(ctx context.Context, source graph.NodeID, k int) ([]sparse.Entry, *Result, error) {
-	res, err := e.SingleSourceCtx(ctx, source)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sparse.TopK(res.Scores, k, source), res, nil
 }

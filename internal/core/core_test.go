@@ -9,6 +9,7 @@ import (
 	"github.com/exactsim/exactsim/internal/graph"
 	"github.com/exactsim/exactsim/internal/powermethod"
 	"github.com/exactsim/exactsim/internal/rng"
+	"github.com/exactsim/exactsim/internal/sparse"
 )
 
 const c = 0.6
@@ -276,10 +277,11 @@ func TestTopK(t *testing.T) {
 	// Two communities: top-k of a node must be dominated by its own side.
 	g := gen.TwoCommunities(25, 0.4, 0.01, 47)
 	e, _ := New(g, Options{Epsilon: 1e-3, Seed: 11, Optimized: true})
-	top, res, err := e.TopK(3, 10)
+	res, err := e.SingleSource(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top := sparse.TopK(res.Scores, 10, 3)
 	if len(top) != 10 {
 		t.Fatalf("got %d entries", len(top))
 	}

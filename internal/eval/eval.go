@@ -27,21 +27,6 @@ func MaxError(got, truth []float64) float64 {
 	return worst
 }
 
-// AvgError returns the mean absolute error.
-func AvgError(got, truth []float64) float64 {
-	if len(got) != len(truth) {
-		panic(fmt.Sprintf("eval: length mismatch %d vs %d", len(got), len(truth)))
-	}
-	if len(got) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range got {
-		sum += math.Abs(got[i] - truth[i])
-	}
-	return sum / float64(len(got))
-}
-
 // PrecisionAtK returns the fraction of the approximate top-k that belongs
 // to the true top-k (the paper's Precision@k, with k=500 in §4). Ties in
 // the ground truth are handled generously: any node whose true score ties

@@ -31,17 +31,6 @@ func TestMaxErrorPanicsOnMismatch(t *testing.T) {
 	MaxError([]float64{1}, []float64{1, 2})
 }
 
-func TestAvgError(t *testing.T) {
-	got := []float64{0, 1}
-	truth := []float64{1, 1}
-	if e := AvgError(got, truth); math.Abs(e-0.5) > 1e-15 {
-		t.Fatalf("AvgError = %g", e)
-	}
-	if AvgError(nil, nil) != 0 {
-		t.Fatal("empty AvgError")
-	}
-}
-
 func TestPrecisionAtKPerfect(t *testing.T) {
 	truth := []float64{1.0, 0.9, 0.8, 0.7, 0.1, 0.05}
 	if p := PrecisionAtK(truth, truth, 3, 0); p != 1 {

@@ -590,7 +590,9 @@ func (r *Router) Batch(ctx context.Context, reqs []exactsim.Request) []exactsim.
 // and sums the outcomes. GraphEpoch reports the fleet max afterwards. A
 // replica that fails or rejects the request counts as one failure,
 // unless every replica that answered rejected it wholesale (an invalid
-// request, or a closed fleet): that rejection is then the answer.
+// request, or a closed fleet): that rejection is then the answer, with
+// the highest epoch the refusing replicas reported, as a replica's own
+// rejection carries its epoch.
 func (r *Router) Warm(ctx context.Context, wr exactsim.WarmRequest) exactsim.WarmResponse {
 	var (
 		mu                         sync.Mutex
@@ -598,6 +600,7 @@ func (r *Router) Warm(ctx context.Context, wr exactsim.WarmRequest) exactsim.War
 		wg                         sync.WaitGroup
 		healthy, answered, refused int
 		rejection                  *exactsim.Error
+		rejectedEpoch              uint64
 	)
 	for _, b := range r.snapshot() {
 		if !b.healthy.Load() {
@@ -618,6 +621,7 @@ func (r *Router) Warm(ctx context.Context, wr exactsim.WarmRequest) exactsim.War
 			if resp.Err != nil {
 				refused++
 				rejection = resp.Err
+				rejectedEpoch = max(rejectedEpoch, resp.GraphEpoch)
 				out.Failed++
 				return
 			}
@@ -633,7 +637,7 @@ func (r *Router) Warm(ctx context.Context, wr exactsim.WarmRequest) exactsim.War
 	case healthy == 0:
 		out.Err = errNoHealthy()
 	case answered > 0 && refused == answered:
-		return exactsim.WarmResponse{Err: rejection}
+		return exactsim.WarmResponse{GraphEpoch: rejectedEpoch, Err: rejection}
 	}
 	return out
 }

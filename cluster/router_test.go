@@ -670,7 +670,7 @@ func TestClusterServerProtocol(t *testing.T) {
 // with the 400 invalid_argument one replica answers, not as a 200 that
 // counts each replica as failed. An over-bound hub count never leaves
 // the router; a negative one reaches both replicas and is refused by
-// both.
+// both, and the router's refusal carries the epoch theirs do.
 func TestRouterWarmRejectedWholesale(t *testing.T) {
 	g := exactsim.GenerateBarabasiAlbert(200, 3, 17)
 	_, urls := startFleet(t, g, 2, exactsim.ServiceOptions{
@@ -685,8 +685,9 @@ func TestRouterWarmRejectedWholesale(t *testing.T) {
 	rs := httptest.NewServer(cluster.NewServer(r, cluster.ServerOptions{}))
 	defer rs.Close()
 
-	for _, body := range []string{`{"top_degree":5000}`, `{"top_degree":-1}`} {
-		res, err := http.Post(rs.URL+"/v1/warm", "application/json", strings.NewReader(body))
+	warm := func(url, body string) exactsim.WarmResponse {
+		t.Helper()
+		res, err := http.Post(url+"/v1/warm", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -695,8 +696,21 @@ func TestRouterWarmRejectedWholesale(t *testing.T) {
 		res.Body.Close()
 		if err != nil || res.StatusCode != http.StatusBadRequest ||
 			wr.Err == nil || wr.Err.Code != exactsim.CodeInvalidArgument {
-			t.Fatalf("%s through the router: HTTP %d, %+v (%v)", body, res.StatusCode, wr, err)
+			t.Fatalf("%s at %s: HTTP %d, %+v (%v)", body, url, res.StatusCode, wr, err)
 		}
+		return wr
+	}
+	warm(rs.URL, `{"top_degree":5000}`)
+	// Every replica refuses a negative hub count with its real epoch; the
+	// router's answer carries it too, never an epoch no generation has.
+	const negative = `{"top_degree":-1}`
+	replica := warm(urls[0], negative)
+	if replica.GraphEpoch != 1 {
+		t.Fatalf("%s at a replica: graph_epoch %d, want 1", negative, replica.GraphEpoch)
+	}
+	if got := warm(rs.URL, negative); got.GraphEpoch != replica.GraphEpoch {
+		t.Fatalf("%s through the router: graph_epoch %d, a replica answers %d",
+			negative, got.GraphEpoch, replica.GraphEpoch)
 	}
 }
 

@@ -70,7 +70,9 @@ type Options struct {
 	// it in practice. In Optimized mode a capped node is compensated by
 	// deeper Algorithm-3 exploration: reaching ℓ*(k) = ⌈log_{1/c}F(k)⌉/2
 	// extra levels multiplies the tail variance by c^{2ℓ*} = 1/F(k),
-	// restoring exactly the theoretical variance target (see DESIGN.md §4).
+	// restoring exactly the theoretical variance target, but only when the
+	// exploration reaches ℓ*(k) within MaxExploreEdges; a node it stops
+	// short keeps a larger tail variance, unreported (see DESIGN.md §4).
 	// 0 selects 1<<16.
 	MaxSamplesPerNode int
 	// MaxExploreEdges caps the per-node Algorithm-3 deterministic

@@ -54,12 +54,7 @@ func chunkGoldenRows() []string {
 			for lk := 0; lk <= chunkGoldenMaxPrefix; lk++ {
 				for _, seed := range chunkGoldenSeeds {
 					e.Reseed(seed)
-					var m int64
-					if lk == 0 {
-						m = e.pairMeets(k, chunkSamples)
-					} else {
-						m = e.tailMeets(k, lk, chunkSamples)
-					}
+					m := e.meets(k, lk, chunkSamples)
 					next := e.w.RNG().Uint64()
 					rows = append(rows, fmt.Sprintf("%s %d %d %d %d %016x", gg.name, k, lk, seed, m, next))
 				}

@@ -79,11 +79,9 @@ func cPowTable(c float64) [maxDeterministicLevels + 1]float64 {
 // (typically many) nodes whose D entries a query needs. Not safe for
 // concurrent use.
 type Estimator struct {
-	g    *graph.Graph
-	c    float64
-	w    *walk.Walker
-	acc  *sparse.Accumulator // level extension scratch
-	zacc *sparse.Accumulator // Z-recursion scratch
+	g *graph.Graph
+	c float64
+	w *walk.Walker
 
 	// cPow[ℓ] = c^ℓ, hoisted out of the Lemma-4 recursion's inner loops
 	// (math.Pow per (ℓ,ℓ') pair showed up in profiles).
@@ -98,16 +96,26 @@ type Estimator struct {
 	srcStates []sourceState
 	zByLevel  []sparse.Vector // per-explore Z_ℓ scratch, reused
 
+	// stamp and pos let explore build each level and Z_ℓ vector in place,
+	// in one pass: node q is in the vector under construction iff
+	// stamp[q] == gen, at index pos[q]. Starting the next vector is one
+	// increment of gen; when gen wraps to 0, stamp is cleared. A first
+	// touch stores 0+x, the sum a zeroed accumulator formed, so a −0
+	// product still lands as +0.
+	stamp []uint32
+	pos   []int32
+	gen   uint32
+
 	// stop, when non-nil, is polled inside the sample and exploration
-	// loops (every stopCheckMask+1 samples); once set, estimates are
+	// loops (every stopCheckPairs walk pairs); once set, estimates are
 	// abandoned mid-node. Only BatchCtx sets it, and it discards the
 	// partial output, so a non-cancelled run stays bit-reproducible.
 	stop *atomic.Bool
 }
 
-// stopCheckMask controls how often the sample loops poll the stop flag:
+// stopCheckPairs controls how often the sample loops poll the stop flag:
 // every 4096 walk pairs, ≈ tens of microseconds of work between polls.
-const stopCheckMask = 4095
+const stopCheckPairs = 4096
 
 // SetStop installs a cooperative cancellation flag (nil to clear).
 func (e *Estimator) SetStop(stop *atomic.Bool) { e.stop = stop }
@@ -125,10 +133,10 @@ func NewEstimator(g *graph.Graph, c float64, seed uint64) *Estimator {
 		g:       g,
 		c:       c,
 		w:       walk.NewWalker(g, c, seed),
-		acc:     sparse.NewAccumulator(g.N()),
-		zacc:    sparse.NewAccumulator(g.N()),
 		cPow:    cPowTable(c),
 		srcSlot: slots,
+		stamp:   make([]uint32, g.N()),
+		pos:     make([]int32, g.N()),
 	}
 }
 
@@ -137,36 +145,17 @@ func NewEstimator(g *graph.Graph, c float64, seed uint64) *Estimator {
 // Batch uses to stay reproducible under parallel scheduling.
 func (e *Estimator) Reseed(seed uint64) { e.w.RNG().Reseed(seed) }
 
-// pairMeets runs `count` Algorithm-2 trials at k and returns how many met.
-func (e *Estimator) pairMeets(k graph.NodeID, count int) int64 {
-	var met int64
-	for s := 0; s < count; s++ {
-		if s&stopCheckMask == 0 && e.stopped() {
-			break
-		}
-		if !e.w.PairNoMeet(k) {
-			met++
-		}
-	}
-	return met
-}
-
-// tailMeets runs `count` hybrid walk-pair trials of Algorithm 3 — lk forced
+// meets runs `count` hybrid walk-pair trials of Algorithm 3 — lk forced
 // non-stop steps, then ordinary √c-walks — and returns how many met. With
-// lk == 0 this is exactly pairMeets.
-func (e *Estimator) tailMeets(k graph.NodeID, lk, count int) int64 {
+// lk == 0 they are Algorithm 2's trials. The walker runs them in runs of
+// stopCheckPairs, and the stop flag is polled before each run.
+func (e *Estimator) meets(k graph.NodeID, lk, count int) int64 {
 	var met int64
-	for s := 0; s < count; s++ {
-		if s&stopCheckMask == 0 && e.stopped() {
+	for done := 0; done < count; done += stopCheckPairs {
+		if e.stopped() {
 			break
 		}
-		x, y, ok := e.w.NonStopPrefixPair(k, lk)
-		if !ok {
-			continue // dead end or met during prefix: zero contribution
-		}
-		if e.w.PairMeetsFrom(x, y) {
-			met++
-		}
+		met += e.w.PairMeets(k, lk, min(count-done, stopCheckPairs))
 	}
 	return met
 }
@@ -178,7 +167,7 @@ func (e *Estimator) Basic(k graph.NodeID, samples int) float64 {
 	if samples <= 0 {
 		samples = 1
 	}
-	met := e.pairMeets(k, samples)
+	met := e.meets(k, 0, samples)
 	return float64(int64(samples)-met) / float64(samples)
 }
 
@@ -244,7 +233,7 @@ func (e *Estimator) ImprovedWith(k graph.NodeID, p ImprovedParams) float64 {
 	}
 	p.normalize(e.c)
 	lk, zSum := e.explore(k, p.EdgeBudget, p.TargetDepth)
-	meets := e.tailMeets(k, lk, p.Samples)
+	meets := e.meets(k, lk, p.Samples)
 	return finishImproved(e.c, e.cPow[lk], zSum, meets, p.Samples)
 }
 
@@ -328,7 +317,19 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 	// cost. The caller has already charged the edges it scans.
 	extend := func(si int32) {
 		st := &e.srcStates[si]
-		last := &st.levels[len(st.levels)-1]
+		// The new level is built in the retired vector beyond len when
+		// one exists, so steady state allocates nothing.
+		nl := len(st.levels)
+		if nl < cap(st.levels) {
+			st.levels = st.levels[:nl+1]
+		} else {
+			st.levels = append(st.levels, sparse.Vector{})
+		}
+		last, next := &st.levels[nl-1], &st.levels[nl]
+		// Scatter into next in first-touch order (deterministic, and
+		// nothing binary-searches these vectors).
+		idx, val := next.Idx[:0], next.Val[:0]
+		stamp, pos, gen := e.stamp, e.pos, e.nextGen()
 		for i, x := range last.Idx {
 			lo, hi := inOff[x], inOff[x+1]
 			if lo == hi {
@@ -336,24 +337,26 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 			}
 			share := last.Val[i] / float64(hi-lo)
 			for _, q := range inAdj[lo:hi] {
-				e.acc.Add(q, share)
+				if stamp[q] == gen {
+					val[pos[q]] += share
+				} else {
+					stamp[q], pos[q] = gen, int32(len(idx))
+					idx, val = append(idx, q), append(val, 0+share)
+				}
 			}
 		}
-		// Build unsorted (first-touch order — deterministic, and nothing
-		// binary-searches these vectors), into the retired vector beyond
-		// len when one exists so steady state allocates nothing.
-		nl := len(st.levels)
-		if nl < cap(st.levels) {
-			st.levels = st.levels[:nl+1]
-		} else {
-			st.levels = append(st.levels, sparse.Vector{})
+		// Keep the positive entries, in order, and charge their in-degrees
+		// to the level after this one.
+		n, cost := 0, int64(0)
+		for i, q := range idx {
+			if v := val[i]; v > 0 {
+				idx[n], val[n] = q, v
+				n++
+				cost += inOff[q+1] - inOff[q]
+			}
 		}
-		next := &st.levels[nl]
-		e.acc.BuildIntoUnsorted(next, 0)
-		st.cost = 0
-		for _, x := range next.Idx {
-			st.cost += inOff[x+1] - inOff[x]
-		}
+		next.Idx, next.Val = idx[:n], val[:n]
+		st.cost = cost
 	}
 
 	kSlot := e.slot(k)
@@ -393,12 +396,24 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 			}
 		}
 
-		// Z_ℓ(k,q) = c^ℓ (Pᵀ)^ℓ(k,q)² − Σ_{ℓ'=1}^{ℓ−1} Σ_{q'} c^{ℓ'} (Pᵀ)^{ℓ'}(q',q)² Z_{ℓ−ℓ'}(k,q').
+		// Z_ℓ(k,q) = c^ℓ (Pᵀ)^ℓ(k,q)² − Σ_{ℓ'=1}^{ℓ−1} Σ_{q'} c^{ℓ'} (Pᵀ)^{ℓ'}(q',q)² Z_{ℓ−ℓ'}(k,q'),
+		// scattered into a new Z vector in first-touch order.
+		nz := len(zByLevel)
+		if nz < cap(zByLevel) {
+			zByLevel = zByLevel[:nz+1]
+		} else {
+			zByLevel = append(zByLevel, sparse.Vector{})
+		}
+		zell := &zByLevel[nz]
+		idx, val := zell.Idx[:0], zell.Val[:0]
+		stamp, pos, gen := e.stamp, e.pos, e.nextGen()
 		cl := e.cPow[ell]
 		kLevel := &e.srcStates[kSlot].levels[ell]
 		for i, q := range kLevel.Idx {
 			p := kLevel.Val[i]
-			e.zacc.Add(q, cl*p*p)
+			// kLevel's entries are distinct: each is a first touch.
+			stamp[q], pos[q] = gen, int32(len(idx))
+			idx, val = append(idx, q), append(val, 0+cl*p*p)
 		}
 		for lp := 1; lp < ell; lp++ {
 			zPrev := &zByLevel[ell-lp]
@@ -411,26 +426,36 @@ func (e *Estimator) explore(k graph.NodeID, budget int64, maxDepth int) (int, fl
 				lv := &e.srcStates[e.srcSlot[qp]].levels[lp]
 				for j, q := range lv.Idx {
 					p := lv.Val[j]
-					e.zacc.Add(q, -clp*p*p*zval)
+					if stamp[q] == gen {
+						val[pos[q]] += -clp * p * p * zval
+					} else {
+						stamp[q], pos[q] = gen, int32(len(idx))
+						idx, val = append(idx, q), append(val, 0+-clp*p*p*zval)
+					}
 				}
 			}
 		}
-		nz := len(zByLevel)
-		if nz < cap(zByLevel) {
-			zByLevel = zByLevel[:nz+1]
-		} else {
-			zByLevel = append(zByLevel, sparse.Vector{})
-		}
-		zell := &zByLevel[nz]
-		e.zacc.BuildIntoUnsorted(zell, math.Inf(-1))
-		for i, v := range zell.Val {
+		sum := 0.0
+		for i, v := range val {
 			if v < 0 { // numerical noise; Z is a probability mass
-				zell.Val[i] = 0
+				val[i], v = 0, 0
 			}
+			sum += v
 		}
-		zSum += zell.Sum()
+		zell.Idx, zell.Val = idx, val
+		zSum += sum
 	}
 	return maxDepth, zSum
+}
+
+// nextGen starts a new vector under construction: no node is in it.
+func (e *Estimator) nextGen() uint32 {
+	e.gen++
+	if e.gen == 0 { // wrapped: old stamps would read as current
+		clear(e.stamp)
+		e.gen = 1
+	}
+	return e.gen
 }
 
 // Request names one node and its pair-sample allowance for Batch.
@@ -468,7 +493,7 @@ type Options struct {
 	Lender *Lender
 }
 
-// EstimatorPool recycles Estimators — and their O(n) accumulator and
+// EstimatorPool recycles Estimators — and their O(n) vector-building and
 // source-index scratch — across Batch calls. Safe for concurrent use.
 type EstimatorPool struct {
 	g    *graph.Graph
@@ -728,12 +753,12 @@ func (b *batch) sample(e *Estimator, ci int) {
 		return // the exploration was abandoned; so is the run
 	}
 	node := b.reqs[ch.req].Node
-	// The key carries no Improved/Basic bit: at lk=0 the two modes
-	// draw the identical stream (a zero-length non-stop prefix
-	// consumes no RNG draws), so their chunk values are
-	// interchangeable and an index shared across exactsim and
-	// exactsim-basic queriers stays exact. TestTailMeetsZeroPrefixIsPairMeets
-	// pins that identity against drift in the walk engine.
+	// The key carries no Improved/Basic bit: Algorithm 2 runs the same
+	// trials at lk=0 (p.lk stays 0 when nothing is explored), so their
+	// chunk values are interchangeable and an index shared across
+	// exactsim and exactsim-basic queriers stays exact. The chunk golden
+	// table's prefix-0 rows, recorded from Algorithm 2's own trial loop,
+	// pin that identity against drift in the walk engine.
 	key := chunkKey{node: node, lk: int32(p.lk), chunk: ch.chunk, size: ch.samples}
 	if b.ix != nil {
 		if m, ok := b.ix.chunkMeets(key); ok {
@@ -742,12 +767,7 @@ func (b *batch) sample(e *Estimator, ci int) {
 		}
 	}
 	e.Reseed(chunkSeed(b.opt.Seed, node, int(ch.chunk)))
-	var m int64
-	if b.opt.Improved {
-		m = e.tailMeets(node, p.lk, int(ch.samples))
-	} else {
-		m = e.pairMeets(node, int(ch.samples))
-	}
+	m := e.meets(node, p.lk, int(ch.samples))
 	b.meets[ci] = m
 	// A chunk interrupted mid-loop holds a partial count; the stop
 	// flag is monotone, so a false read here proves the loop ran to

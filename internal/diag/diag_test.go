@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/exactsim/exactsim/internal/dataset"
 	"github.com/exactsim/exactsim/internal/gen"
 	"github.com/exactsim/exactsim/internal/graph"
 	"github.com/exactsim/exactsim/internal/powermethod"
@@ -213,6 +214,36 @@ func TestExploreDeterministicFullDepthGivesExactD(t *testing.T) {
 		_, zSum := e.exploreDeterministic(k, 1<<50)
 		if math.Abs((1-zSum)-exact[k]) > 1e-9 {
 			t.Fatalf("node %d: 1−ΣZ = %g vs exact %g", k, 1-zSum, exact[k])
+		}
+	}
+}
+
+func TestExploreStampWrap(t *testing.T) {
+	// explore's vector builds are told apart by a 32-bit generation. After
+	// it wraps, stamps left by the first generations must not read as
+	// current, so an estimator that has just wrapped explores exactly as
+	// a fresh one.
+	g := randomGraph(2718, 80, 320)
+	run := func(e *Estimator) []string {
+		var rows []string
+		for k := int32(0); k < int32(g.N()); k++ {
+			if g.InDegree(k) >= 2 {
+				lk, zSum := e.explore(k, 1<<14, maxDeterministicLevels)
+				rows = append(rows, fmt.Sprintf("%d %d %016x", k, lk, math.Float64bits(zSum)))
+			}
+		}
+		return rows
+	}
+	want := run(NewEstimator(g, c, 1))
+	e := NewEstimator(g, c, 1)
+	for q := range e.stamp { // every node last touched by generation 1
+		e.stamp[q] = 1
+	}
+	e.gen = math.MaxUint32 // the next build wraps to generation 1
+	got := run(e)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d after the wrap: got %q, want %q", i, got[i], want[i])
 		}
 	}
 }
@@ -567,6 +598,37 @@ func BenchmarkImproved1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Improved(int32(i%g.N()), 1000)
+	}
+}
+
+// BenchmarkExplore times Algorithm 3's exploration (ms/op) at the 2²² edge
+// budget core gives a capped source, over six nodes of the DB stand-in and
+// eight of GQ, on one warmed Estimator.
+func BenchmarkExplore(b *testing.B) {
+	for _, tc := range []struct {
+		key   string
+		nodes []graph.NodeID
+	}{
+		{"DB", []graph.NodeID{37429, 96642, 82795, 23, 5000, 777}},
+		{"GQ", []graph.NodeID{0, 100, 700, 1300, 2000, 3000, 4000, 5000}},
+	} {
+		spec, err := dataset.ByKey(tc.key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := spec.Generate(1)
+		b.Run(tc.key, func(b *testing.B) {
+			e := NewEstimator(g, c, 1)
+			for _, k := range tc.nodes {
+				e.explore(k, 1<<22, maxDeterministicLevels)
+			}
+			b.ResetTimer()
+			for range b.N {
+				for _, k := range tc.nodes {
+					e.explore(k, 1<<22, maxDeterministicLevels)
+				}
+			}
+		})
 	}
 }
 

@@ -137,23 +137,30 @@ func TestSampleIndexMismatchBypass(t *testing.T) {
 }
 
 // TestTailMeetsZeroPrefixIsPairMeets pins the stream identity the shared
-// chunk key relies on: tailMeets with a zero-length non-stop prefix must
-// consume exactly the RNG draws of pairMeets and count the same meets, so
-// chunk entries at lk=0 are interchangeable between Algorithm-2 and
-// Algorithm-3 queries sharing one index. If a walk-engine change breaks
-// this, the chunkKey needs an Improved/Basic bit.
+// chunk key relies on: a chunk with a zero-length non-stop prefix must
+// consume exactly the RNG draws of Algorithm 2's trial, two √c-walks from
+// the node (PairMeetsFrom(k, k)), and count the same meets, so chunk
+// entries at lk=0 are interchangeable between Algorithm-2 and Algorithm-3
+// queries sharing one index. If a walk-engine change breaks this, the
+// chunkKey needs an Improved/Basic bit.
 func TestTailMeetsZeroPrefixIsPairMeets(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 4, 17)
 	e := NewEstimator(g, c, 1)
 	for _, node := range []graph.NodeID{0, 3, 99, 250} {
 		for _, seed := range []uint64{2, 77, 123456} {
 			e.Reseed(seed)
-			pair := e.pairMeets(node, 3000)
+			var pair int64
+			for range 3000 {
+				if e.w.PairMeetsFrom(node, node) {
+					pair++
+				}
+			}
+			pairNext := e.w.RNG().Uint64()
 			e.Reseed(seed)
-			tail := e.tailMeets(node, 0, 3000)
-			if pair != tail {
-				t.Fatalf("node %d seed %d: pairMeets=%d tailMeets(lk=0)=%d — streams diverged",
-					node, seed, pair, tail)
+			tail := e.meets(node, 0, 3000)
+			if tailNext := e.w.RNG().Uint64(); pair != tail || pairNext != tailNext {
+				t.Fatalf("node %d seed %d: Algorithm 2's trials met %d (next draw %x), a prefix-0 chunk %d (%x) — streams diverged",
+					node, seed, pair, pairNext, tail, tailNext)
 			}
 		}
 	}

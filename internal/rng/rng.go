@@ -100,10 +100,26 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Bounded(n uint64) uint64 {
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+		hi = r.BoundedRetry(n, hi, lo)
+	}
+	return hi
+}
+
+// BoundedRetry is Bounded's rejection branch, for a loop that runs the
+// fast path itself —
+//
+//	hi, lo := bits.Mul64(r.Uint64(), n)
+//	if lo < n {
+//		hi = r.BoundedRetry(n, hi, lo)
+//	}
+//
+// — because Bounded is too large to inline. Given the first product
+// (hi, lo) with lo < n, it redraws while lo falls below 2⁶⁴ mod n and
+// returns the accepted high word, consuming exactly Bounded's draws.
+func (r *RNG) BoundedRetry(n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
 	}
 	return hi
 }

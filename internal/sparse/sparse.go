@@ -194,26 +194,6 @@ func (a *Accumulator) Reset() {
 	a.touched = a.touched[:0]
 }
 
-// BuildIntoUnsorted extracts entries strictly greater than threshold into
-// dst — reusing dst's backing arrays — in first-touch order, skipping the
-// index sort, and resets the accumulator. For consumers that only iterate
-// (and never binary-search or merge-join) a vector, the first-touch order
-// is just as deterministic as sorted order and costs nothing; diag.explore
-// builds hundreds of throwaway level vectors per node this way.
-func (a *Accumulator) BuildIntoUnsorted(dst *Vector, threshold float64) {
-	dst.Idx = dst.Idx[:0]
-	dst.Val = dst.Val[:0]
-	for _, idx := range a.touched {
-		if x := a.dense[idx]; x > threshold {
-			dst.Idx = append(dst.Idx, idx)
-			dst.Val = append(dst.Val, x)
-		}
-		a.dense[idx] = 0
-		a.mark[idx] = false
-	}
-	a.touched = a.touched[:0]
-}
-
 // DrainInto folds a's accumulated entries into dst (in a's touched order,
 // i.e. first-touch order) and resets a. It is the merge step of the
 // parallel sparse kernels: per-shard accumulators drain into the main one

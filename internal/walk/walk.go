@@ -12,7 +12,7 @@
 // are the identities the MC baseline and the D estimators build on.
 //
 // The engine is built for the diagonal phase's throughput: millions of walk
-// pairs per query at tight ε. Three structural choices keep the per-step
+// pairs per query at tight ε. Four structural choices keep the per-step
 // cost to one bounded-random draw and two array loads:
 //
 //  1. Geometric length sampling. The per-step survival Bernoullis of a
@@ -25,10 +25,19 @@
 //     an InNeighbors slice header per step.
 //  3. Lemire bounded sampling. Random neighbor selection uses
 //     rng.Bounded — one 128-bit multiply, no modulo, unbiased.
+//  4. One loop per run of walk pairs. PairMeets runs every trial of a
+//     diag sample chunk in one loop, with the stream copied into a local
+//     for the whole run and Bounded's fast path written out, so a draw is
+//     the inlined xoshiro update on that local and one multiply: no call,
+//     and no trip through the walker's pointer. The local lives in the
+//     loop's stack frame, not in registers (the inlined Uint64 takes its
+//     address); rng still owns the update, the rejection branch
+//     (rng.RNG.BoundedRetry) and the geometric table scan.
 package walk
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/exactsim/exactsim/internal/graph"
 	"github.com/exactsim/exactsim/internal/rng"
@@ -137,7 +146,7 @@ func TrajectoriesMeet(a, b []graph.NodeID) bool {
 // PairMeetsFrom simulates two fresh √c-walks from x and y (both alive at
 // step 0, positions distinct unless x==y) and reports whether they ever
 // meet at a step ≥ 1. This is the MC estimator's primitive for S(x,y) when
-// combined with the step-0 check, and Algorithm 3's tail continuation.
+// combined with the step-0 check.
 //
 // The pair can only meet while both walks are alive, and
 // min(Geometric(√c), Geometric(√c)) = Geometric(c), so a single geometric
@@ -163,35 +172,57 @@ func (w *Walker) PairMeetsFrom(x, y graph.NodeID) bool {
 	return false
 }
 
-// PairNoMeet simulates two independent √c-walks from the same node k and
-// reports whether they do NOT meet at any step ≥ 1 — exactly the Bernoulli
-// trial of paper Algorithm 2, whose success probability is D(k,k).
-func (w *Walker) PairNoMeet(k graph.NodeID) bool {
-	return !w.PairMeetsFrom(k, k)
-}
-
-// NonStopPrefixPair simulates the special walk pair of paper Algorithm 3:
-// both walks take `prefix` forced (non-stopping) steps. It returns the two
-// end positions and ok=true only if (a) neither walk hit a dead end — a
-// dead end makes survival past it impossible under the true measure — and
-// (b) the walks did not meet at any step 1..prefix (those meetings belong
-// to the deterministically-computed Σ Z_ℓ part).
-func (w *Walker) NonStopPrefixPair(k graph.NodeID, prefix int) (x, y graph.NodeID, ok bool) {
-	x, y = k, k
+// PairMeets runs `pairs` walk-pair trials of paper Algorithm 3 from node k
+// and returns how many met. Each trial is the special walk pair: both
+// walks take `prefix` forced (non-stop) steps, and the trial counts zero
+// if either hits a dead end there (survival past it is impossible under
+// the true measure) or the two meet at a step 1..prefix (those meetings
+// belong to the deterministically computed Σ Z_ℓ part). Otherwise the two
+// continue as ordinary √c-walks, as in PairMeetsFrom, and the trial counts
+// one if they meet. With prefix 0 a trial is exactly the Bernoulli trial
+// of paper Algorithm 2, which meets with probability 1 − D(k,k), and it
+// draws exactly that trial's random numbers. The trials run in one loop
+// on a local copy of the stream (see the package comment).
+func (w *Walker) PairMeets(k graph.NodeID, prefix, pairs int) int64 {
+	r := *w.r
 	inOff, inAdj := w.inOff, w.inAdj
-	for t := 0; t < prefix; t++ {
-		xlo, xhi := inOff[x], inOff[x+1]
-		ylo, yhi := inOff[y], inOff[y+1]
-		if xlo == xhi || ylo == yhi {
-			return x, y, false
-		}
-		x = inAdj[xlo+int64(w.r.Bounded(uint64(xhi-xlo)))]
-		y = inAdj[ylo+int64(w.r.Bounded(uint64(yhi-ylo)))]
-		if x == y {
-			return x, y, false
+	var met int64
+	for range pairs {
+		x, y := k, k
+		left, tail := prefix, false // steps left in the current phase
+		for left > 0 || !tail {
+			if left == 0 { // the prefix is done: the pair survives Geometric(c) steps
+				left, tail = w.geoPair.Sample(&r), true
+				continue
+			}
+			xlo, xhi := inOff[x], inOff[x+1]
+			ylo, yhi := inOff[y], inOff[y+1]
+			if xlo == xhi || ylo == yhi {
+				break
+			}
+			n := uint64(xhi - xlo)
+			hi, lo := bits.Mul64(r.Uint64(), n)
+			if lo < n {
+				hi = r.BoundedRetry(n, hi, lo)
+			}
+			x = inAdj[xlo+int64(hi)]
+			n = uint64(yhi - ylo)
+			hi, lo = bits.Mul64(r.Uint64(), n)
+			if lo < n {
+				hi = r.BoundedRetry(n, hi, lo)
+			}
+			y = inAdj[ylo+int64(hi)]
+			if x == y {
+				if tail {
+					met++
+				}
+				break
+			}
+			left--
 		}
 	}
-	return x, y, true
+	*w.r = r
+	return met
 }
 
 // StopDistribution estimates, by simulation, the probability that a √c-walk
@@ -220,11 +251,5 @@ func (w *Walker) StopDistribution(source graph.NodeID, samples int) []float64 {
 // MeetFraction runs `samples` Algorithm-2 trials at node k and returns the
 // fraction that met (an estimator of 1 − D(k,k)).
 func (w *Walker) MeetFraction(k graph.NodeID, samples int) float64 {
-	met := 0
-	for s := 0; s < samples; s++ {
-		if !w.PairNoMeet(k) {
-			met++
-		}
-	}
-	return float64(met) / float64(samples)
+	return float64(w.PairMeets(k, 0, samples)) / float64(samples)
 }

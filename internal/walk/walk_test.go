@@ -1,9 +1,11 @@
 package walk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"github.com/exactsim/exactsim/internal/dataset"
 	"github.com/exactsim/exactsim/internal/gen"
 	"github.com/exactsim/exactsim/internal/graph"
 	"github.com/exactsim/exactsim/internal/linalg"
@@ -163,36 +165,69 @@ func TestPairMeetsFromDistinct(t *testing.T) {
 }
 
 func TestNonStopPrefixPair(t *testing.T) {
-	g := gen.Clique(10)
+	// On an n-clique, two walks at one node move to distinct nodes with
+	// probability (n−2)/(n−1), and two walks at distinct nodes pick the
+	// same in-neighbor with probability q = (n−2)/(n−1)². So the pair
+	// survives a prefix of ℓ ≥ 1 forced steps unmet with probability
+	// (n−2)/(n−1)·(1−q)^(ℓ−1), and from distinct nodes two √c-walks meet
+	// with probability M' = c·q/(1−c·(1−q)) (TestMeetFractionOnClique).
+	n := 10
+	g := gen.Clique(n)
 	w := NewWalker(g, c, 29)
-	for trial := 0; trial < 1000; trial++ {
-		x, y, ok := w.NonStopPrefixPair(0, 3)
-		if ok && x == y {
-			t.Fatal("ok pair ended at identical nodes after prefix (they met)")
-		}
-		if x < 0 || x >= 10 || y < 0 || y >= 10 {
-			t.Fatal("positions out of range")
+	q := float64(n-2) / float64((n-1)*(n-1))
+	mPrime := c * q / (1 - c*(1-q))
+	const trials = 200000
+	for _, prefix := range []int{1, 3} {
+		want := float64(n-2) / float64(n-1) * math.Pow(1-q, float64(prefix-1)) * mPrime
+		got := float64(w.PairMeets(0, prefix, trials)) / trials
+		if math.Abs(got-want) > 0.005 {
+			t.Fatalf("prefix %d: meet fraction %g want %g", prefix, got, want)
 		}
 	}
 }
 
 func TestNonStopPrefixPairDeadEnd(t *testing.T) {
-	g := gen.Path(3)
+	// Node 0's in-neighbors 1 and 2 have none. Two walks from 0 meet at
+	// step 1 with probability c/2, but a forced first step takes them to
+	// 1 and 2 unmet only if they split, and then a dead end stops both.
+	b := graph.NewBuilder(3)
+	b.AddEdge(1, 0)
+	b.AddEdge(2, 0)
+	g := b.Build()
 	w := NewWalker(g, c, 31)
-	// From node 2, non-stop prefix of 5 must hit the dead end at node 0.
-	for trial := 0; trial < 100; trial++ {
-		if _, _, ok := w.NonStopPrefixPair(2, 5); ok {
-			t.Fatal("walk through a dead end reported ok")
+	for _, prefix := range []int{1, 2, 5} {
+		if met := w.PairMeets(0, prefix, 1000); met != 0 {
+			t.Fatalf("prefix %d: %d trials met through a dead end", prefix, met)
 		}
+	}
+	got := w.MeetFraction(0, 200000)
+	if math.Abs(got-c/2) > 0.005 {
+		t.Fatalf("prefix 0: meet fraction %g want %g", got, c/2)
 	}
 }
 
 func TestNonStopPrefixPairZeroPrefix(t *testing.T) {
-	g := gen.Clique(4)
-	w := NewWalker(g, c, 37)
-	x, y, ok := w.NonStopPrefixPair(2, 0)
-	if !ok || x != 2 || y != 2 {
-		t.Fatalf("zero prefix: got (%d,%d,%v)", x, y, ok)
+	// With no prefix a trial is Algorithm 2's: two √c-walks from k,
+	// PairMeetsFrom(k, k). The chunk loop must draw exactly that trial's
+	// random numbers, so both walkers count the same meets and end on the
+	// same stream position.
+	g := gen.BarabasiAlbert(300, 4, 17)
+	for _, k := range []graph.NodeID{0, 3, 99, 250} {
+		chunk := NewWalker(g, c, uint64(k)+37)
+		trials := NewWalker(g, c, uint64(k)+37)
+		met := chunk.PairMeets(k, 0, 3000)
+		var want int64
+		for range 3000 {
+			if trials.PairMeetsFrom(k, k) {
+				want++
+			}
+		}
+		if met != want {
+			t.Fatalf("node %d: %d met, Algorithm 2's trials met %d", k, met, want)
+		}
+		if a, b := chunk.RNG().Uint64(), trials.RNG().Uint64(); a != b {
+			t.Fatalf("node %d: streams diverged (%x vs %x)", k, a, b)
+		}
 	}
 }
 
@@ -230,12 +265,26 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-func BenchmarkPairNoMeet(b *testing.B) {
-	g := gen.BarabasiAlbert(10000, 5, 1)
-	w := NewWalker(g, c, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.PairNoMeet(int32(i % g.N()))
+// pairsMet keeps BenchmarkPairMeets' result live.
+var pairsMet int64
+
+// BenchmarkPairMeets reports the cost of one walk-pair trial (ns/op) by
+// the depth of its non-stop prefix, at node 37429 of the DB stand-in:
+// prefix 0 is Algorithm 2's trial; deeper prefixes are what Algorithm 3
+// runs after an exploration reached that depth. All b.N trials are one
+// run, as a diag sample chunk is.
+func BenchmarkPairMeets(b *testing.B) {
+	spec, err := dataset.ByKey("DB")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := spec.Generate(1)
+	for _, prefix := range []int{0, 3, 6} {
+		b.Run(fmt.Sprintf("prefix=%d", prefix), func(b *testing.B) {
+			w := NewWalker(g, c, 1)
+			b.ResetTimer()
+			pairsMet = w.PairMeets(37429, prefix, b.N)
+		})
 	}
 }
 

@@ -371,6 +371,41 @@ func TestQueryStreamFinalMatchesQuery(t *testing.T) {
 	}
 }
 
+// TestQueryStreamOneRung: an exactsim stream whose target is at or above
+// the ladder's coarsest rung (0.064) runs a one-rung ladder: it emits no
+// refinement, its terminal record is what Query answers, and it fills
+// the memo under the plain path's key.
+func TestQueryStreamOneRung(t *testing.T) {
+	ctx := context.Background()
+	req := Request{Algorithm: "exactsim", Source: 8, Epsilon: 0.08, K: 5}
+	svc := newPlanService(t, GenerateBarabasiAlbert(300, 3, 13))
+	calls := 0
+	final := svc.QueryStream(ctx, req, func(Response) { calls++ })
+	if final.Err != nil {
+		t.Fatal(final.Err)
+	}
+	if calls != 0 || final.Partial || final.CacheHit {
+		t.Fatalf("one-rung stream: %d refinements, partial=%v hit=%v, want 0, false, false",
+			calls, final.Partial, final.CacheHit)
+	}
+	plain := newPlanService(t, GenerateBarabasiAlbert(300, 3, 13)).Query(ctx, req)
+	if plain.Err != nil {
+		t.Fatal(plain.Err)
+	}
+	sameScores(t, final.Result, plain.Result)
+	if len(final.TopK) != len(plain.TopK) {
+		t.Fatalf("top-k lengths differ: %d vs %d", len(final.TopK), len(plain.TopK))
+	}
+	for i := range final.TopK {
+		if final.TopK[i] != plain.TopK[i] {
+			t.Fatalf("top-k[%d] differs: %+v vs %+v", i, final.TopK[i], plain.TopK[i])
+		}
+	}
+	if r := svc.Query(ctx, req); r.Err != nil || !r.CacheHit {
+		t.Fatalf("query after a one-rung stream: hit=%v err=%v", r.CacheHit, r.Err)
+	}
+}
+
 // TestQueryStreamNonLadderAlgorithm: a stream for a method the ladder
 // does not apply to (ε-independent cost) degenerates gracefully — no
 // refinements, just the terminal answer.
@@ -412,5 +447,38 @@ func TestPlanEstimates(t *testing.T) {
 		if caps.Name != e.Name {
 			t.Fatalf("caps name %q != estimate name %q", caps.Name, e.Name)
 		}
+	}
+}
+
+// TestComputedQueryFeedsPlanner: a plain computed query, one that is
+// neither a stream nor anytime, feeds its latency to the planner's
+// correction, so the exactsim cost row moves; the same query's cache hit
+// computes nothing and leaves the row where it was.
+func TestComputedQueryFeedsPlanner(t *testing.T) {
+	svc := newPlanService(t, GenerateBarabasiAlbert(200, 3, 19))
+	nanos := func() int64 {
+		t.Helper()
+		for _, e := range svc.PlanEstimates() {
+			if e.Name == "exactsim" {
+				return e.Nanos
+			}
+		}
+		t.Fatal("no exactsim cost row")
+		return 0
+	}
+	req := Request{Algorithm: "exactsim", Source: 3}
+	before := nanos()
+	if r := svc.Query(context.Background(), req); r.Err != nil || r.CacheHit {
+		t.Fatalf("computed query: hit=%v err=%v", r.CacheHit, r.Err)
+	}
+	computed := nanos()
+	if computed == before {
+		t.Fatalf("exactsim cost row stayed at %d ns after a computed query", before)
+	}
+	if r := svc.Query(context.Background(), req); r.Err != nil || !r.CacheHit {
+		t.Fatalf("repeat query: hit=%v err=%v, want a hit", r.CacheHit, r.Err)
+	}
+	if hit := nanos(); hit != computed {
+		t.Fatalf("exactsim cost row moved %d -> %d on a cache hit", computed, hit)
 	}
 }

@@ -472,3 +472,138 @@ func TestServiceBatchExpiredAnsweredLocally(t *testing.T) {
 		}
 	}
 }
+
+// lateTimerCtx is a context whose deadline has passed on the wall clock
+// while its timer has not fired yet: Err stays nil, as it does for the
+// milliseconds a loaded scheduler runs a context's timer late.
+type lateTimerCtx struct{ context.Context }
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestServiceExpiredOnArrivalLateTimer: the admission rule reads the
+// deadline on the wall clock, not only ctx.Err(). A query whose deadline
+// has passed while its context's timer has not fired is answered
+// deadline_exceeded without computing, and deadline_rejected counts it.
+func TestServiceExpiredOnArrivalLateTimer(t *testing.T) {
+	registerStallAlgorithm()
+	g := exactsim.GenerateBarabasiAlbert(50, 3, 7)
+	svc, err := exactsim.NewService(g, exactsim.ServiceOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	setStallGate(nil)
+
+	before := stallExecutions.Load()
+	resp := svc.Query(lateTimerCtx{context.Background()},
+		exactsim.Request{Algorithm: stallAlgName, Source: 1, NoCache: true})
+	if resp.Err == nil || resp.Err.Code != exactsim.CodeDeadlineExceeded {
+		t.Fatalf("late-timer query: err = %v, want deadline_exceeded", resp.Err)
+	}
+	if got := stallExecutions.Load(); got != before {
+		t.Fatalf("late-timer query executed anyway (%d -> %d)", before, got)
+	}
+	if st := svc.Stats(); st.DeadlineRejected != 1 || st.Queriers != 0 {
+		t.Fatalf("deadline_rejected = %d, queriers = %d, want 1 and 0", st.DeadlineRejected, st.Queriers)
+	}
+}
+
+// TestServiceShedAtDoorMessage: a submission the full queue turns away
+// at the door, and a queued job an interactive arrival evicts, both
+// answer with the shed message naming their class.
+func TestServiceShedAtDoorMessage(t *testing.T) {
+	registerStallAlgorithm()
+	g := exactsim.GenerateBarabasiAlbert(50, 3, 7)
+	svc, err := exactsim.NewService(g, exactsim.ServiceOptions{
+		Workers: 1, QueueDepth: 1, QueueTarget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	done, release := saturateService(t, svc, exactsim.PriorityBatch, 1)
+	defer release()
+	const want = "exactsim: batch query shed: queue full"
+	door := svc.Query(context.Background(), exactsim.Request{
+		Algorithm: stallAlgName, Source: 40, NoCache: true, Priority: exactsim.PriorityBatch})
+	if door.Err == nil || door.Err.Code != exactsim.CodeUnavailable || door.Err.Message != want {
+		t.Fatalf("door shed: err = %+v, want unavailable %q", door.Err, want)
+	}
+	interactive := make(chan exactsim.Response, 1)
+	go func() {
+		interactive <- svc.Query(context.Background(), exactsim.Request{
+			Algorithm: stallAlgName, Source: 41, NoCache: true})
+	}()
+	select {
+	case r := <-done:
+		if r.Err == nil || r.Err.Code != exactsim.CodeUnavailable || r.Err.Message != want {
+			t.Fatalf("evicted job: err = %+v, want unavailable %q", r.Err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no batch query was evicted for the interactive arrival")
+	}
+	release()
+	if r := <-interactive; r.Err != nil {
+		t.Fatalf("interactive query failed: %v", r.Err)
+	}
+	if r := <-done; r.Err != nil {
+		t.Fatalf("running batch query failed: %v", r.Err)
+	}
+}
+
+// TestServiceBatchCancelledWhileWaiting: a batch whose context is
+// cancelled while a submission waits for a slot answers the tail
+// canceled in place and runs none of it. The one request that held the
+// only slot had started computing; it ends canceled too.
+func TestServiceBatchCancelledWhileWaiting(t *testing.T) {
+	registerStallAlgorithm()
+	g := exactsim.GenerateBarabasiAlbert(50, 3, 7)
+	svc, err := exactsim.NewService(g, exactsim.ServiceOptions{Workers: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	gate := make(chan struct{})
+	setStallGate(gate)
+	t.Cleanup(func() { setStallGate(nil) })
+
+	reqs := make([]exactsim.Request, 8)
+	for i := range reqs {
+		reqs[i] = exactsim.Request{Algorithm: stallAlgName, Source: exactsim.NodeID(i), NoCache: true}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := stallExecutions.Load()
+	out := make(chan []exactsim.Response, 1)
+	go func() { out <- svc.Batch(ctx, reqs) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for stallExecutions.Load() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("the batch's first request never started computing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The first request holds the batch's only slot, so the second waits.
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	var resps []exactsim.Response
+	select {
+	case resps = <-out:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a cancelled batch did not return")
+	}
+	if got := stallExecutions.Load() - before; got != 1 {
+		t.Fatalf("cancelled batch executed %d queries, want only the first", got)
+	}
+	for i, r := range resps {
+		if r.Err == nil || r.Err.Code != exactsim.CodeCanceled {
+			t.Fatalf("batch[%d]: err = %v, want canceled", i, r.Err)
+		}
+		if r.Request.Source != reqs[i].Source {
+			t.Fatalf("batch[%d] answers source %d, want %d", i, r.Request.Source, reqs[i].Source)
+		}
+	}
+	if st := svc.Stats(); st.Queries != int64(len(reqs)) || st.Errors != int64(len(reqs)) {
+		t.Fatalf("counters: queries=%d errors=%d, want %d each", st.Queries, st.Errors, len(reqs))
+	}
+}

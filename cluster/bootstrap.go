@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"io"
 
 	exactsim "github.com/exactsim/exactsim"
 	"github.com/exactsim/exactsim/httpapi"
+	"github.com/exactsim/exactsim/internal/store"
 )
 
 // CloneFromPeer bootstraps a joining replica's state: it downloads the
@@ -27,26 +27,16 @@ func CloneFromPeer(ctx context.Context, peerURL, path string, opts ...httpapi.Cl
 	if err != nil {
 		return 0, 0, err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".clone-*")
-	if err != nil {
-		return 0, 0, exactsim.Wrapf(exactsim.CodeInternal, err, "cluster: clone temp file")
-	}
-	defer os.Remove(tmp.Name())
-	n, epoch, err := c.Snapshot(ctx, tmp)
-	if err != nil {
-		tmp.Close()
-		return n, epoch, exactsim.Wrapf(exactsim.CodeUnavailable, err, "cluster: cloning from %s", peerURL)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return n, epoch, err
-	}
-	if err := tmp.Close(); err != nil {
-		return n, epoch, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return n, epoch, err
-	}
-	return n, epoch, nil
+	var (
+		n     int64
+		epoch uint64
+	)
+	err = store.WriteFile(path, func(w io.Writer) error {
+		var err error
+		if n, epoch, err = c.Snapshot(ctx, w); err != nil {
+			return exactsim.Wrapf(exactsim.CodeUnavailable, err, "cluster: cloning from %s", peerURL)
+		}
+		return nil
+	}, nil)
+	return n, epoch, err
 }

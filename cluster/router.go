@@ -167,20 +167,6 @@ func errNoHealthy() *exactsim.Error {
 	return exactsim.Errorf(exactsim.CodeUnavailable, "cluster: no healthy backends")
 }
 
-// priorityRank maps a request's overload class onto the queue rank the
-// shed thresholds scale by (0 = interactive). Unknown classes rank as
-// interactive here — the backend rejects them as invalid_argument, and
-// mis-shedding a doomed request would hide that error.
-func priorityRank(p exactsim.Priority) int {
-	switch p {
-	case exactsim.PriorityBatch:
-		return 1
-	case exactsim.PriorityBackground:
-		return 2
-	}
-	return 0
-}
-
 // pick returns this query's replica preference order: ring candidates
 // for the source, healthy only, saturated replicas shed, and the list
 // stably partitioned so under-bounded-load replicas come first. The
@@ -323,10 +309,13 @@ func (r *Router) route(ctx context.Context, req exactsim.Request, emit func(exac
 	}()
 	// Expired on arrival: a request whose deadline is already gone must
 	// not spend a candidate walk, let alone wire attempts.
-	if err := ctx.Err(); err != nil {
-		return tryResult{resp: exactsim.Response{Request: req, Err: exactsim.ToError(err)}}
+	if e := exactsim.Expired(ctx); e != nil {
+		return tryResult{resp: exactsim.Response{Request: req, Err: e}}
 	}
-	cands, err := r.pick(req.Source, priorityRank(req.Priority))
+	// An unknown class ranks 0, as interactive: the replica rejects it as
+	// invalid_argument, and mis-shedding a doomed request would hide that.
+	rank, _ := req.Priority.Rank()
+	cands, err := r.pick(req.Source, rank)
 	if err != nil {
 		return tryResult{resp: exactsim.Response{Request: req, Err: r.pickError(err)}}
 	}
@@ -542,7 +531,8 @@ func (r *Router) Batch(ctx context.Context, reqs []exactsim.Request) []exactsim.
 	out := make([]exactsim.Response, len(reqs))
 	groups := make(map[*backend][]int)
 	for i, req := range reqs {
-		cands, err := r.pick(req.Source, priorityRank(req.Priority))
+		rank, _ := req.Priority.Rank()
+		cands, err := r.pick(req.Source, rank)
 		if err != nil {
 			r.queries.Add(1)
 			r.errors.Add(1)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -769,5 +770,58 @@ func TestRouterEpochLagEjects(t *testing.T) {
 	r.Poll(ctx)
 	if st := r.Stats(); st.HealthyBackends != 3 {
 		t.Fatalf("caught-up replica not re-admitted: %d healthy", st.HealthyBackends)
+	}
+}
+
+// lateTimerCtx is a context whose deadline has passed on the wall clock
+// while its timer has not fired yet: Err stays nil, as it does for the
+// milliseconds a loaded scheduler runs a context's timer late.
+type lateTimerCtx struct{ context.Context }
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestRouterExpiredOnArrivalLateTimer: the router applies the Service's
+// admission rule, which reads the deadline on the wall clock. A query
+// whose deadline has passed while its context's timer has not fired is
+// answered deadline_exceeded at the router, and no replica sees it.
+func TestRouterExpiredOnArrivalLateTimer(t *testing.T) {
+	g := exactsim.GenerateBarabasiAlbert(100, 3, 7)
+	members, urls := startFleet(t, g, 2, exactsim.ServiceOptions{
+		Workers:        1,
+		QuerierOptions: []exactsim.QuerierOption{exactsim.WithEpsilon(0.1), exactsim.WithSeed(1)},
+	})
+	r, err := cluster.New(urls, manualPollOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	resp := r.Query(lateTimerCtx{context.Background()}, exactsim.Request{Source: 3})
+	if resp.Err == nil || resp.Err.Code != exactsim.CodeDeadlineExceeded {
+		t.Fatalf("late-timer query: err = %v, want deadline_exceeded", resp.Err)
+	}
+	for i, m := range members {
+		if q := m.svc.Stats().Queries; q != 0 {
+			t.Fatalf("replica %d counted %d queries for a query whose budget was gone", i, q)
+		}
+	}
+}
+
+// TestCloneFromPeerFileMode: a cloned snapshot lands with the mode every
+// other file the repository writes atomically has, 0644, not the temp
+// file's 0600.
+func TestCloneFromPeerFileMode(t *testing.T) {
+	g := exactsim.GenerateBarabasiAlbert(100, 3, 7)
+	peer := startMember(t, g, exactsim.ServiceOptions{Workers: 1})
+	path := filepath.Join(t.TempDir(), "clone.snap")
+	if _, _, err := cluster.CloneFromPeer(context.Background(), peer.url(), path); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o644 {
+		t.Fatalf("cloned snapshot mode %v, want 0644", mode)
 	}
 }

@@ -165,7 +165,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Expired on arrival (a sub-millisecond wire budget, or a caller gone
 	// before decode finished): answer without touching the worker pool.
-	if e := expiredOnArrival(ctx); e != nil {
+	if e := exactsim.Expired(ctx); e != nil {
 		writeJSON(w, StatusOf(e), exactsim.Response{Request: qr.Body, Err: e})
 		return
 	}
@@ -224,7 +224,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r.Context(), &qr)
 	defer cancel()
-	if e := expiredOnArrival(ctx); e != nil {
+	if e := exactsim.Expired(ctx); e != nil {
 		writeJSON(w, StatusOf(e), exactsim.Response{Request: qr.Body, Err: e})
 		return
 	}
@@ -243,17 +243,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	writeAnswer(w, &resp, &final)
 }
 
-// expiredOnArrival reports a context already dead at tier entry as the
-// protocol error to answer with (nil while budget remains). Each tier
-// checks before doing work, so a query whose deadline has already passed
-// is bounced immediately — the deadline-propagation contract.
-func expiredOnArrival(ctx context.Context) *exactsim.Error {
-	if err := ctx.Err(); err != nil {
-		return exactsim.ToError(err)
-	}
-	return nil
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
 	if e := decode(w, r, &br); e != nil {
@@ -267,7 +256,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), br.TimeoutMillis)
 	defer cancel()
-	if e := expiredOnArrival(ctx); e != nil {
+	if e := exactsim.Expired(ctx); e != nil {
 		writeError(w, e)
 		return
 	}
@@ -283,26 +272,15 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// MaxBatch bounds the warm fan-out the same way it bounds batch
-	// requests — warming is a batch in disguise. The effective fan-out
-	// mirrors Service.Warm's source resolution: explicit Sources win,
-	// otherwise TopDegree, otherwise the service's default hub count.
-	if s.opts.MaxBatch > 0 {
-		fanout := len(wr.Body.Sources)
-		if fanout == 0 {
-			fanout = wr.Body.TopDegree
-			if fanout <= 0 {
-				fanout = exactsim.DefaultWarmTopDegree
-			}
-		}
-		if fanout > s.opts.MaxBatch {
-			writeError(w, exactsim.Errorf(exactsim.CodeInvalidArgument,
-				"httpapi: warm fan-out of %d sources exceeds the server bound %d", fanout, s.opts.MaxBatch))
-			return
-		}
+	// requests — warming is a batch in disguise.
+	if n := wr.Body.Fanout(); s.opts.MaxBatch > 0 && n > s.opts.MaxBatch {
+		writeError(w, exactsim.Errorf(exactsim.CodeInvalidArgument,
+			"httpapi: warm fan-out of %d sources exceeds the server bound %d", n, s.opts.MaxBatch))
+		return
 	}
 	ctx, cancel := s.requestContext(r.Context(), wr.TimeoutMillis)
 	defer cancel()
-	if e := expiredOnArrival(ctx); e != nil {
+	if e := exactsim.Expired(ctx); e != nil {
 		writeError(w, e)
 		return
 	}

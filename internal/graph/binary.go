@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/exactsim/exactsim/internal/store"
 )
@@ -265,26 +264,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, err
 }
 
-// SaveBinary writes the container encoding to path atomically (temp
-// file + rename), so a crash mid-write never leaves a half-snapshot
+// SaveBinary writes the container encoding to path atomically
+// (store.WriteFile), so a crash mid-write never leaves a half-snapshot
 // where a loader could find it.
 func SaveBinary(path string, g *Graph) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".graph-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	// CreateTemp's 0600 would survive the rename; graph files are meant
-	// to be shared, give them normal file permissions.
-	tmp.Chmod(0o644)
-	if err := WriteBinary(tmp, g); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return store.WriteFile(path, func(w io.Writer) error { return WriteBinary(w, g) }, nil)
 }
 
 // LoadBinary reads a binary graph from path into memory (copy

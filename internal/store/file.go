@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // Section is one parsed container section. Payload aliases the File's
@@ -165,4 +166,39 @@ func (f *File) Close() error {
 		return f.release()
 	}
 	return nil
+}
+
+// WriteFile writes path atomically, the one way the repository puts a
+// container (or any file a loader may open) on disk: write fills a temp
+// file in path's directory, which is synced, closed and given mode 0644
+// (the temp file's 0600 would survive the rename); beforeRename, when
+// non-nil, runs next (a snapshot save rotates its older generations
+// there, once the new bytes are safely on disk); then the temp file is
+// renamed onto path. A crash or a failure at any step never leaves a
+// partial file at path, and a failure removes the temp file.
+func WriteFile(path string, write func(io.Writer) error, beforeRename func() error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil && beforeRename != nil {
+		err = beforeRename()
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -217,5 +218,64 @@ func TestAliasRoundTrip(t *testing.T) {
 		if _, ok := AliasInt64s(aligned[4 : 4+16]); ok {
 			t.Fatal("aliased a misaligned base pointer")
 		}
+	}
+}
+
+// TestWriteFile: the atomic writer lands the full bytes at path with mode
+// 0644, runs the pre-rename step while path still holds the old file, and
+// on a failed write or a failed pre-rename step leaves path as it was and
+// no temp file behind.
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f.snap")
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	read := func() string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if err := WriteFile(path, write("one"), nil); err != nil {
+		t.Fatal(err)
+	}
+	var before string
+	if err := WriteFile(path, write("two"), func() error { before = read(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "two" || before != "one" {
+		t.Fatalf("path holds %q (%q before the rename), want \"two\" (\"one\")", got, before)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o644 {
+		t.Fatalf("mode %v, want 0644", mode)
+	}
+
+	boom := io.ErrUnexpectedEOF
+	failed := func(io.Writer) error { return boom }
+	if err := WriteFile(path, failed, nil); !errors.Is(err, boom) {
+		t.Fatalf("failed write: err = %v, want %v", err, boom)
+	}
+	if err := WriteFile(path, write("three"), func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("failed pre-rename step: err = %v, want %v", err, boom)
+	}
+	if got := read(); got != "two" {
+		t.Fatalf("a failed save changed path to %q", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("%d files left in the directory, want only f.snap", len(entries))
 	}
 }

@@ -1,6 +1,7 @@
 package exactsim
 
 import (
+	"context"
 	"math"
 	"sync"
 	"time"
@@ -25,10 +26,11 @@ const (
 	PriorityBackground Priority = "background"
 )
 
-// rank maps a Priority onto its queue class (0 = most urgent). The
+// Rank maps a Priority onto its queue class (0 = most urgent). The
 // second result is false for unknown class names, which the Service
-// rejects as invalid_argument rather than guessing a class.
-func (p Priority) rank() (int, bool) {
+// rejects as invalid_argument rather than guessing a class; a router
+// ranks them 0 and leaves the rejection to the replica.
+func (p Priority) Rank() (int, bool) {
 	switch p {
 	case "", PriorityInteractive:
 		return 0, true
@@ -46,6 +48,23 @@ func (p Priority) display() Priority {
 		return PriorityInteractive
 	}
 	return p
+}
+
+// Expired is the admission rule every tier applies before it does work
+// for a request: the protocol error for a context that is done, or whose
+// deadline has already passed on the wall clock (deadline_exceeded), and
+// nil while budget remains. The wall-clock half is deliberately stricter
+// than ctx.Err(): the runtime timer that cancels a context can fire
+// milliseconds late on a loaded scheduler, and a tier that waited for it
+// would do work whose budget is provably gone.
+func Expired(ctx context.Context) *Error {
+	if err := ctx.Err(); err != nil {
+		return ToError(err)
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return ToError(context.DeadlineExceeded)
+	}
+	return nil
 }
 
 // numPriorities is the queue class count (rank 0..numPriorities-1).
@@ -320,10 +339,10 @@ func (q *serviceQueue) overloaded() bool {
 	return q.dropping || (!q.lastShed.IsZero() && time.Since(q.lastShed) <= q.window)
 }
 
-// retryAfterMillis sizes the retry_after_ms hint on shed responses:
-// twice the smoothed sojourn (the backlog should have moved by then),
-// floored at the sojourn target and 1ms, capped at 1s.
-func (q *serviceQueue) retryAfterMillis() int64 {
+// retryAfter sizes the retry_after_ms hint on shed responses: twice the
+// smoothed sojourn (the backlog should have moved by then), floored at
+// the sojourn target (10ms when age drops are off), capped at 1s.
+func (q *serviceQueue) retryAfter() time.Duration {
 	q.mu.Lock()
 	hint := 2 * q.sojournEWMA
 	floor := q.target
@@ -331,17 +350,7 @@ func (q *serviceQueue) retryAfterMillis() int64 {
 	if floor <= 0 {
 		floor = 10 * time.Millisecond
 	}
-	if hint < floor {
-		hint = floor
-	}
-	if hint > time.Second {
-		hint = time.Second
-	}
-	ms := hint.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
+	return min(max(hint, floor), time.Second)
 }
 
 // expectedDwell is the planner's queue-pressure input: the smoothed

@@ -247,11 +247,9 @@ type WarmResponse struct {
 	Err *Error `json:"error,omitempty"`
 }
 
-// DefaultWarmTopDegree is the hub count warmed by a WarmRequest that names
-// neither sources nor a TopDegree. Exported so transports can bound the
-// effective fan-out of a default request (httpapi holds it against
-// MaxBatch).
-const DefaultWarmTopDegree = 32
+// defaultWarmTopDegree is the hub count warmed by a WarmRequest that
+// names neither sources nor a TopDegree.
+const defaultWarmTopDegree = 32
 
 // ServiceStats is a point-in-time snapshot: monotonic counters plus the
 // gauges a load balancer wants when deciding where to send traffic.
@@ -468,7 +466,7 @@ type serviceJob struct {
 	// the final answer lands on resp. The submitter must keep waiting on
 	// resp unconditionally — it owns whatever emit writes to.
 	emit func(Response)
-	// pri is the validated queue class (Priority.rank); enq timestamps
+	// pri is the validated queue class (Priority.Rank); enq timestamps
 	// admission, feeding sojourn accounting and CoDel; deadline records
 	// whether ctx bounds the wait — only deadline-bearing jobs are
 	// eligible for CoDel age drops.
@@ -595,11 +593,8 @@ func (s *Service) count(resp Response) {
 func (s *Service) query(ctx context.Context, req Request, emit func(Response)) Response {
 	// Reject before the cache lookup: a closed service answers nothing,
 	// not even cached results.
-	s.closeMu.RLock()
-	closed := s.closed
-	s.closeMu.RUnlock()
 	st := s.state.Load()
-	if closed {
+	if s.Closed() {
 		return s.fail(st, req, ToError(ErrServiceClosed))
 	}
 	if err := s.normalizeRequest(&req, st); err != nil {
@@ -666,9 +661,6 @@ func (s *Service) compute(ctx context.Context, st *graphState, req Request, emit
 		return resp
 	}
 	for {
-		if res, ok := st.answers.get(key); ok {
-			return s.respond(st, req, res, true)
-		}
 		e, leader := st.answers.claim(key)
 		if leader {
 			resp := s.dispatch(ctx, st, req, nil)
@@ -680,8 +672,8 @@ func (s *Service) compute(ctx context.Context, st *graphState, req Request, emit
 			return s.fail(st, req, ToError(err))
 		}
 		if ok {
-			// Served by the leader's computation: a hit as far as this
-			// request is concerned.
+			// A kept answer, or the leader's: a hit as far as this request
+			// is concerned.
 			return s.respond(st, req, res, true)
 		}
 		// The leader failed (its deadline, a build error) or answered
@@ -746,22 +738,12 @@ func (s *Service) normalizeRequest(req *Request, st *graphState) *Error {
 		return Errorf(CodeInvalidArgument,
 			"exactsim: epsilon %g outside (0,1) (0 = service default)", req.Epsilon)
 	}
-	if _, ok := req.Priority.rank(); !ok {
+	if _, ok := req.Priority.Rank(); !ok {
 		return Errorf(CodeInvalidArgument,
 			"exactsim: unknown priority %q (have %q, %q, %q)",
 			req.Priority, PriorityInteractive, PriorityBatch, PriorityBackground)
 	}
 	return nil
-}
-
-// deadlineSpent reports whether ctx's deadline has already passed on the
-// wall clock. Deliberately stricter than ctx.Err(): the runtime timer
-// that cancels a context can fire milliseconds late on a loaded
-// scheduler, and an admission check that waited for it would execute
-// work whose budget is provably gone.
-func deadlineSpent(ctx context.Context) bool {
-	dl, ok := ctx.Deadline()
-	return ok && !time.Now().Before(dl)
 }
 
 // dispatch queues one request on the worker pool and waits for its
@@ -778,17 +760,11 @@ func (s *Service) dispatch(ctx context.Context, st *graphState, req Request, emi
 
 	// Expired-on-arrival rejection: a query that cannot meet its deadline
 	// must not cost a queue slot, let alone a worker.
-	if err := ctx.Err(); err != nil || deadlineSpent(ctx) {
-		if err == nil {
-			err = context.DeadlineExceeded
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.deadlineRejected.Add(1)
-		}
-		return s.fail(st, req, ToError(err))
+	if err := s.admit(ctx); err != nil {
+		return s.fail(st, req, err)
 	}
 
-	pri, _ := req.Priority.rank() // validated in query()
+	pri, _ := req.Priority.Rank() // validated in query()
 	_, hasDeadline := ctx.Deadline()
 	job := &serviceJob{ctx: ctx, st: st, req: req, resp: make(chan Response, 1), emit: emit,
 		pri: pri, enq: time.Now(), deadline: hasDeadline}
@@ -796,7 +772,7 @@ func (s *Service) dispatch(ctx context.Context, st *graphState, req Request, emi
 	case pushClosed:
 		return s.fail(st, req, ToError(ErrServiceClosed))
 	case pushShed:
-		return s.fail(st, req, s.shedError(req.Priority))
+		return s.fail(st, req, s.shedError(req.Priority, dropShed))
 	}
 
 	if emit != nil || req.AllowPartial {
@@ -820,33 +796,36 @@ func (s *Service) dispatch(ctx context.Context, st *graphState, req Request, emi
 	}
 }
 
-// dropJob answers a job the queue ejected (overflow shed or CoDel age
-// drop) with a retryable unavailable carrying the retry_after_ms hint.
-// It runs on whichever goroutine triggered the drop; the response
-// channel is buffered, so the send never blocks even when the
-// submitter already gave up on its context.
-func (s *Service) dropJob(job *serviceJob, reason queueDropReason) {
-	var err *Error
-	switch reason {
-	case dropCoDel:
-		err = Errorf(CodeUnavailable,
-			"exactsim: %s query dropped: queue dwell over target (CoDel)",
-			job.req.Priority.display())
-	default:
-		err = Errorf(CodeUnavailable,
-			"exactsim: %s query shed: queue full", job.req.Priority.display())
+// admit applies the admission rule (Expired) to a job's context: at the
+// door, before the job costs a queue slot, and again when a worker pops
+// it, for budgets that died in the queue. Each deadline rejection counts
+// in deadline_rejected.
+func (s *Service) admit(ctx context.Context) *Error {
+	e := Expired(ctx)
+	if e != nil && e.Code == CodeDeadlineExceeded {
+		s.deadlineRejected.Add(1)
 	}
-	err.RetryAfterMillis = s.queue.retryAfterMillis()
-	job.resp <- s.fail(job.st, job.req, err)
+	return e
 }
 
-// shedError is the answer for a request the full queue rejected at the
-// door (as opposed to a queued victim it evicted).
-func (s *Service) shedError(pri Priority) *Error {
-	err := Errorf(CodeUnavailable,
-		"exactsim: %s query shed: queue full", pri.display())
-	err.RetryAfterMillis = s.queue.retryAfterMillis()
-	return err
+// dropJob answers a job the queue ejected (overflow shed or CoDel age
+// drop). It runs on whichever goroutine triggered the drop; the response
+// channel is buffered, so the send never blocks even when the submitter
+// already gave up on its context.
+func (s *Service) dropJob(job *serviceJob, reason queueDropReason) {
+	job.resp <- s.fail(job.st, job.req, s.shedError(job.req.Priority, reason))
+}
+
+// shedError is the answer to a request the full queue turned away at the
+// door, or to a queued job it ejected: a retryable unavailable carrying
+// the retry_after_ms hint.
+func (s *Service) shedError(pri Priority, reason queueDropReason) *Error {
+	what := "shed: queue full"
+	if reason == dropCoDel {
+		what = "dropped: queue dwell over target (CoDel)"
+	}
+	return Errorf(CodeUnavailable, "exactsim: %s query %s", pri.display(), what).
+		WithRetryAfter(s.queue.retryAfter())
 }
 
 // Batch answers many requests concurrently through the worker pool and
@@ -863,39 +842,45 @@ func (s *Service) Batch(ctx context.Context, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	sem := make(chan struct{}, s.opts.QueueDepth)
 	var wg sync.WaitGroup
-	for i := 0; i < len(reqs); i++ {
-		// The explicit Err check makes a pre-cancelled context
-		// deterministic (select would pick randomly between the two ready
-		// cases and sometimes spawn one more goroutine).
-		if ctx.Err() != nil {
-			s.failRemaining(ctx, reqs, out, i)
-			break
-		}
+	for i, req := range reqs {
 		select {
 		case sem <- struct{}{}:
-			// select picks randomly among ready cases, so a slot can win
-			// the race against an already-dead context; re-check so an
-			// expired batch never submits more work to the pool.
-			if ctx.Err() != nil {
-				<-sem
-				s.failRemaining(ctx, reqs, out, i)
-				wg.Wait()
-				return out
-			}
 		case <-ctx.Done():
-			s.failRemaining(ctx, reqs, out, i)
-			wg.Wait()
-			return out
+		}
+		// Checked after the wait, so a dead context wins even when a slot
+		// was free too (select picks randomly among ready cases): an
+		// expired batch never submits more work to the pool. The tail is
+		// counted as if each request had gone through Query.
+		if err := ctx.Err(); err != nil {
+			epoch, cerr := s.state.Load().epoch, ToError(err)
+			for j := i; j < len(reqs); j++ {
+				out[j] = Response{Request: reqs[j], GraphEpoch: epoch, Err: cerr}
+				s.count(out[j])
+			}
+			break
 		}
 		wg.Add(1)
-		go func(i int, req Request) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			out[i] = s.Query(ctx, req)
-		}(i, reqs[i])
+		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// Fanout is the number of sources a warm pass over wr computes: its
+// Sources when it names any, otherwise TopDegree hubs, otherwise
+// defaultWarmTopDegree. Transports hold it against their batch bound.
+func (wr WarmRequest) Fanout() int {
+	switch {
+	case len(wr.Sources) > 0:
+		return len(wr.Sources)
+	case wr.TopDegree > 0:
+		return wr.TopDegree
+	}
+	return defaultWarmTopDegree
 }
 
 // Warm pre-computes the requested sources through the regular query path
@@ -906,10 +891,7 @@ func (s *Service) Batch(ctx context.Context, reqs []Request) []Response {
 // unreachable by construction). Callers bound the work with ctx.
 func (s *Service) Warm(ctx context.Context, wr WarmRequest) WarmResponse {
 	st := s.state.Load()
-	s.closeMu.RLock()
-	closed := s.closed
-	s.closeMu.RUnlock()
-	if closed {
+	if s.Closed() {
 		return WarmResponse{GraphEpoch: st.epoch, Err: ToError(ErrServiceClosed)}
 	}
 	if wr.TopDegree < 0 {
@@ -918,11 +900,7 @@ func (s *Service) Warm(ctx context.Context, wr WarmRequest) WarmResponse {
 	}
 	sources := wr.Sources
 	if len(sources) == 0 {
-		k := wr.TopDegree
-		if k == 0 {
-			k = DefaultWarmTopDegree
-		}
-		sources = topInDegreeSources(st.g, k)
+		sources = topInDegreeSources(st.g, wr.Fanout())
 	}
 	reqs := make([]Request, len(sources))
 	for i, src := range sources {
@@ -963,18 +941,6 @@ func topInDegreeSources(g *Graph, k int) []NodeID {
 	return sources
 }
 
-// failRemaining answers reqs[from:] with ctx's error, keeping the
-// counters consistent with the path where each would have gone through
-// Query.
-func (s *Service) failRemaining(ctx context.Context, reqs []Request, out []Response, from int) {
-	st := s.state.Load()
-	cerr := ToError(ctx.Err())
-	for j := from; j < len(reqs); j++ {
-		out[j] = Response{Request: reqs[j], GraphEpoch: st.epoch, Err: cerr}
-		s.count(out[j])
-	}
-}
-
 func (s *Service) worker() {
 	defer s.workers.Done()
 	for {
@@ -985,14 +951,8 @@ func (s *Service) worker() {
 		// A deadline that expired while the job queued is answered here,
 		// without computing: queued-but-expired work executing anyway is
 		// exactly the overload death spiral this layer exists to break.
-		if err := job.ctx.Err(); err != nil || deadlineSpent(job.ctx) {
-			if err == nil {
-				err = context.DeadlineExceeded
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.deadlineRejected.Add(1)
-			}
-			job.resp <- s.fail(job.st, job.req, ToError(err))
+		if err := s.admit(job.ctx); err != nil {
+			job.resp <- s.fail(job.st, job.req, err)
 			continue
 		}
 		// The CPU goes back before the answer does, so a caller holding
@@ -1004,6 +964,15 @@ func (s *Service) worker() {
 	}
 }
 
+// execute computes req along its accuracy ladder, coarse→target. An
+// error-driven algorithm asked to stream, or to allow a partial answer
+// under a deadline, refines along the planner's tiers; every other
+// request runs the one-rung ladder of its target. The last rung is
+// req.Epsilon verbatim, so the terminal answer — and the memo entry it
+// fills — is the same whatever the ladder. Intermediate rungs go to emit
+// as Partial records; a deadline firing mid-ladder ships the best
+// completed rung for AllowPartial requests and the plain coded error for
+// everyone else (the strict contract survives streaming).
 func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit func(Response)) (resp Response) {
 	// A panicking algorithm costs its request a CodeInternal response,
 	// not the process its life: the worker must survive to drain the
@@ -1015,99 +984,74 @@ func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit
 			resp = s.fail(st, req, s.recordPanic("query", v))
 		}
 	}()
-	// Anytime serving: error-driven algorithms asked to stream, or to
-	// allow a partial answer under a deadline, refine along the accuracy
-	// tier ladder instead of computing the target in one shot.
-	_, hasDeadline := ctx.Deadline()
-	if plan.ErrorDriven(req.Algorithm) && (emit != nil || (req.AllowPartial && hasDeadline)) {
-		if tiers := st.planner.Tiers(req.Epsilon); len(tiers) > 1 {
-			return s.executeLadder(ctx, st, req, emit, tiers)
-		}
+	tiers := []float64{req.Epsilon}
+	if _, hasDeadline := ctx.Deadline(); (emit != nil || (req.AllowPartial && hasDeadline)) &&
+		plan.ErrorDriven(req.Algorithm) {
+		tiers = st.planner.Tiers(req.Epsilon)
 	}
-	q, err := s.querier(ctx, st, req.Algorithm, req.Epsilon)
-	if err != nil {
-		return s.fail(st, req, ToError(err))
-	}
-	start := time.Now()
-	res, err := q.SingleSource(ctx, req.Source)
-	if err != nil {
-		return s.fail(st, req, ToError(err))
-	}
-	st.planner.Observe(req.Algorithm, req.Epsilon, time.Since(start))
-	return s.respond(st, req, res, false)
-}
-
-// executeLadder evaluates req coarse→target along tiers (the last tier is
-// req.Epsilon verbatim, so the terminal answer — and the memo entry it
-// fills — is byte-identical to the one-shot path). Intermediate tiers go
-// to emit as Partial records; a deadline firing mid-ladder ships the best
-// completed tier for AllowPartial requests and the plain coded error for
-// everyone else (the strict contract survives streaming).
-func (s *Service) executeLadder(ctx context.Context, st *graphState, req Request, emit func(Response), tiers []float64) Response {
 	var (
-		best    *QueryResult
-		bestEps float64 // resolved epsilon best satisfies
-		lastDur time.Duration
-		lastEps float64 // raw tier value lastDur was measured at
+		best     *QueryResult
+		bestTier float64       // the rung best was computed at
+		lastDur  time.Duration // how long that rung took
 	)
-	bestSoFar := func(err error) bool {
-		return best != nil && req.AllowPartial &&
-			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled))
-	}
 	for i, tier := range tiers {
-		// Deadline checkpoint: before paying for a tighter tier, project
-		// its cost from the last tier's measured latency scaled by the
+		// Deadline checkpoint: before paying for a tighter rung, project
+		// its cost from the last rung's measured latency scaled by the
 		// cost model's growth ratio (×1.2 margin). A projection that
 		// overshoots the remaining budget ships best-so-far now instead
 		// of burning the remainder on work that cannot finish.
 		if best != nil && req.AllowPartial {
 			if dl, ok := ctx.Deadline(); ok {
-				need := time.Duration(1.2 * float64(lastDur) * st.planner.Growth(req.Algorithm, lastEps, tier))
+				need := time.Duration(1.2 * float64(lastDur) * st.planner.Growth(req.Algorithm, bestTier, tier))
 				if time.Until(dl) < need {
-					return s.partial(st, req, best, bestEps)
+					s.partialResults.Add(1)
+					return s.partial(st, req, best, bestTier)
 				}
 			}
 		}
-		q, err := s.querier(ctx, st, req.Algorithm, tier)
+		res, dur, err := s.rung(ctx, st, req, tier)
 		if err != nil {
-			if bestSoFar(err) {
-				return s.partial(st, req, best, bestEps)
+			if best != nil && req.AllowPartial &&
+				(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+				s.partialResults.Add(1)
+				return s.partial(st, req, best, bestTier)
 			}
 			return s.fail(st, req, ToError(err))
 		}
-		start := time.Now()
-		res, err := q.SingleSource(ctx, req.Source)
-		if err != nil {
-			if bestSoFar(err) {
-				return s.partial(st, req, best, bestEps)
-			}
-			return s.fail(st, req, ToError(err))
-		}
-		dur := time.Since(start)
-		st.planner.Observe(req.Algorithm, tier, dur)
-		best, bestEps = res, st.planner.Effective(tier)
-		lastDur, lastEps = dur, tier
-		if i == len(tiers)-1 {
-			break
-		}
-		if emit != nil {
-			r := s.respond(st, req, res, false)
-			r.Partial = true
-			r.AchievedEpsilon = bestEps
-			emit(r)
+		best, bestTier, lastDur = res, tier, dur
+		if emit != nil && i < len(tiers)-1 {
+			emit(s.partial(st, req, res, tier))
 		}
 	}
 	return s.respond(st, req, best, false)
 }
 
-// partial ships the best completed tier at a deadline: a success-shaped
-// answer flagged Partial with the error bound it actually met — the
-// anytime contract's alternative to deadline_exceeded.
-func (s *Service) partial(st *graphState, req Request, res *QueryResult, achieved float64) Response {
+// rung computes req at one ladder epsilon and feeds the computation's
+// latency to the planner's correction.
+func (s *Service) rung(ctx context.Context, st *graphState, req Request, eps float64) (*QueryResult, time.Duration, error) {
+	q, err := s.querier(ctx, st, req.Algorithm, eps)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	res, err := q.SingleSource(ctx, req.Source)
+	if err != nil {
+		return nil, 0, err
+	}
+	dur := time.Since(start)
+	st.planner.Observe(req.Algorithm, eps, dur)
+	return res, dur, nil
+}
+
+// partial is the answer of the rung completed at tier, short of req's
+// target: a success-shaped answer flagged Partial with the error bound it
+// actually met. It is both a stream's refinement record and, when a
+// deadline cuts the ladder, the anytime contract's alternative to
+// deadline_exceeded.
+func (s *Service) partial(st *graphState, req Request, res *QueryResult, tier float64) Response {
 	resp := s.respond(st, req, res, false)
 	resp.Partial = true
-	resp.AchievedEpsilon = achieved
-	s.partialResults.Add(1)
+	resp.AchievedEpsilon = st.planner.Effective(tier)
 	return resp
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/exactsim/exactsim/internal/diag"
 	"github.com/exactsim/exactsim/internal/graph"
@@ -99,9 +98,9 @@ func writeSnapshot(w io.Writer, g *Graph, ix *DiagSampleIndex) error {
 	return sw.Close()
 }
 
-// SaveSnapshot writes a service snapshot to path atomically (temp file
-// + rename): a crash mid-write can never leave a half-container where
-// the next boot's -snapshot flag would find it.
+// SaveSnapshot writes a service snapshot to path atomically
+// (store.WriteFile): a crash mid-write can never leave a half-container
+// where the next boot's -snapshot flag would find it.
 func (s *Service) SaveSnapshot(path string) error {
 	return s.SaveSnapshotKeep(path, 0)
 }
@@ -114,38 +113,27 @@ func (s *Service) SaveSnapshot(path string) error {
 // corrupt (torn write, bit rot) can fall back to path.1 instead of a
 // cold build (see BootSnapshot). keep ≤ 0 rotates nothing.
 func (s *Service) SaveSnapshotKeep(path string, keep int) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	// CreateTemp's 0600 would survive the rename; snapshots are fleet
-	// artifacts, give them normal file permissions.
-	tmp.Chmod(0o644)
-	var w io.Writer = tmp
-	if s.opts.SnapshotWriteWrap != nil {
-		w = s.opts.SnapshotWriteWrap(tmp)
-	}
-	if err := s.Snapshot(w); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	// The replacement container exists in full; only now is it safe to
-	// shift the old generations (oldest first, path.keep falls off).
-	for i := keep - 1; i >= 1; i-- {
-		if err := renameGen(genPath(path, i), genPath(path, i+1)); err != nil {
-			return err
+	write := func(w io.Writer) error {
+		if s.opts.SnapshotWriteWrap != nil {
+			w = s.opts.SnapshotWriteWrap(w)
 		}
+		return s.Snapshot(w)
 	}
-	if keep > 0 {
-		if err := renameGen(path, genPath(path, 1)); err != nil {
-			return err
+	// Runs once the replacement container exists in full: only then is it
+	// safe to shift the old generations (oldest first, path.keep falls
+	// off).
+	rotate := func() error {
+		for i := keep - 1; i >= 1; i-- {
+			if err := renameGen(genPath(path, i), genPath(path, i+1)); err != nil {
+				return err
+			}
 		}
+		if keep > 0 {
+			return renameGen(path, genPath(path, 1))
+		}
+		return nil
 	}
-	return os.Rename(tmp.Name(), path)
+	return store.WriteFile(path, write, rotate)
 }
 
 // genPath names generation i of a snapshot path: path itself for i=0,

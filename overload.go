@@ -387,3 +387,127 @@ func (q *serviceQueue) close() {
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
+
+type serviceJob struct {
+	ctx  context.Context
+	st   *graphState
+	req  Request
+	resp chan Response
+	// emit, when non-nil, receives each intermediate refinement of an
+	// anytime (tier-ladder) evaluation, on the worker goroutine, before
+	// the final answer lands on resp. The submitter must keep waiting on
+	// resp unconditionally — it owns whatever emit writes to.
+	emit func(Response)
+	// pri is the validated queue class (Priority.Rank); enq timestamps
+	// admission, feeding sojourn accounting and CoDel; deadline records
+	// whether ctx bounds the wait — only deadline-bearing jobs are
+	// eligible for CoDel age drops.
+	pri      int
+	enq      time.Time
+	deadline bool
+}
+
+// dispatch queues one request on the worker pool and waits for its
+// response under ctx (tightened by DefaultTimeout). A request whose
+// budget is already spent — or that the overflowing queue sheds — is
+// answered immediately instead of occupying a slot; it never blocks
+// the submitter.
+func (s *Service) dispatch(ctx context.Context, st *graphState, req Request, emit func(Response)) Response {
+	if s.opts.DefaultTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.opts.DefaultTimeout)
+		defer cancel()
+	}
+
+	// Expired-on-arrival rejection: a query that cannot meet its deadline
+	// must not cost a queue slot, let alone a worker.
+	if err := s.admit(ctx); err != nil {
+		return s.fail(st, req, err)
+	}
+
+	pri, _ := req.Priority.Rank() // validated in query()
+	_, hasDeadline := ctx.Deadline()
+	job := &serviceJob{ctx: ctx, st: st, req: req, resp: make(chan Response, 1), emit: emit,
+		pri: pri, enq: time.Now(), deadline: hasDeadline}
+	switch s.queue.push(job) {
+	case pushClosed:
+		return s.fail(st, req, ToError(ErrServiceClosed))
+	case pushShed:
+		return s.fail(st, req, s.shedError(req.Priority, dropShed))
+	}
+
+	if emit != nil || req.AllowPartial {
+		// Streaming and anytime requests wait for the worker
+		// unconditionally: the worker owns emit (returning early would
+		// race its writes) and a deadline firing mid-ladder must come
+		// back as the best-so-far answer, not as the submitter's
+		// ctx error. This cannot hang — every pushed job is answered
+		// exactly once (a worker executes it, dropJob ejects it, or the
+		// closing queue drains it), and the algorithms observe ctx
+		// internally, so a dead context still ends the wait promptly.
+		return <-job.resp
+	}
+	select {
+	case resp := <-job.resp:
+		return resp
+	case <-ctx.Done():
+		// The worker that picks the job up will see the dead context and
+		// drop it without computing.
+		return s.fail(st, req, ToError(ctx.Err()))
+	}
+}
+
+// admit applies the admission rule (Expired) to a job's context: at the
+// door, before the job costs a queue slot, and again when a worker pops
+// it, for budgets that died in the queue. Each deadline rejection counts
+// in deadline_rejected.
+func (s *Service) admit(ctx context.Context) *Error {
+	e := Expired(ctx)
+	if e != nil && e.Code == CodeDeadlineExceeded {
+		s.deadlineRejected.Add(1)
+	}
+	return e
+}
+
+// dropJob answers a job the queue ejected (overflow shed or CoDel age
+// drop). It runs on whichever goroutine triggered the drop; the response
+// channel is buffered, so the send never blocks even when the submitter
+// already gave up on its context.
+func (s *Service) dropJob(job *serviceJob, reason queueDropReason) {
+	job.resp <- s.fail(job.st, job.req, s.shedError(job.req.Priority, reason))
+}
+
+// shedError is the answer to a request the full queue turned away at the
+// door, or to a queued job it ejected: a retryable unavailable carrying
+// the retry_after_ms hint.
+func (s *Service) shedError(pri Priority, reason queueDropReason) *Error {
+	what := "shed: queue full"
+	if reason == dropCoDel {
+		what = "dropped: queue dwell over target (CoDel)"
+	}
+	return Errorf(CodeUnavailable, "exactsim: %s query %s", pri.display(), what).
+		WithRetryAfter(s.queue.retryAfter())
+}
+
+func (s *Service) worker() {
+	defer s.workers.Done()
+	for {
+		job, ok := s.queue.pop()
+		if !ok {
+			return
+		}
+		// A deadline that expired while the job queued is answered here,
+		// without computing: queued-but-expired work executing anyway is
+		// exactly the overload death spiral this layer exists to break.
+		if err := s.admit(job.ctx); err != nil {
+			job.resp <- s.fail(job.st, job.req, err)
+			continue
+		}
+		// The CPU goes back before the answer does, so a caller holding
+		// its answer never reads itself in in_flight.
+		s.lender.Hold()
+		resp := s.execute(job.ctx, job.st, job.req, job.emit)
+		s.lender.Release()
+		job.resp <- resp
+	}
+}

@@ -3,12 +3,8 @@ package exactsim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"log"
-	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -432,49 +428,6 @@ type Service struct {
 	lastPanic atomic.Pointer[string]
 }
 
-// answerKey identifies one complete single-source answer. Epsilon is
-// part of the key because the same (algorithm, source) pair answers
-// differently at different error targets; 0 means "service default".
-type answerKey struct {
-	algorithm string
-	source    NodeID
-	epsilon   float64
-}
-
-// querierKey identifies one constructed querier. Unlike answerKey it has
-// no source field — a querier answers every source — and the distinct
-// type keeps a future edit from accidentally fragmenting the querier memo
-// per source.
-type querierKey struct {
-	algorithm string
-	epsilon   float64
-}
-
-// built is the outcome of one querier build.
-type built struct {
-	q   Querier
-	err error
-}
-
-type serviceJob struct {
-	ctx  context.Context
-	st   *graphState
-	req  Request
-	resp chan Response
-	// emit, when non-nil, receives each intermediate refinement of an
-	// anytime (tier-ladder) evaluation, on the worker goroutine, before
-	// the final answer lands on resp. The submitter must keep waiting on
-	// resp unconditionally — it owns whatever emit writes to.
-	emit func(Response)
-	// pri is the validated queue class (Priority.Rank); enq timestamps
-	// admission, feeding sojourn accounting and CoDel; deadline records
-	// whether ctx bounds the wait — only deadline-bearing jobs are
-	// eligible for CoDel age drops.
-	pri      int
-	enq      time.Time
-	deadline bool
-}
-
 // NewService starts a query service over g (graph epoch 1).
 func NewService(g *Graph, opts ServiceOptions) (*Service, error) {
 	return newService(g, opts, nil)
@@ -553,580 +506,6 @@ func (s *Service) Update(g *Graph) (uint64, error) {
 	s.updateMu.Unlock()
 	s.closeMu.RUnlock()
 	return st.epoch, nil
-}
-
-// Query answers one request, blocking until a worker finishes it or ctx
-// ends. The per-request deadline (ctx, tightened by DefaultTimeout) is
-// live inside the algorithm's iteration loops, so a timeout interrupts
-// even a single long-running ExactSim query mid-computation.
-func (s *Service) Query(ctx context.Context, req Request) Response {
-	resp := s.query(ctx, req, nil)
-	s.count(resp)
-	return resp
-}
-
-// QueryStream answers one request as a refinement sequence: emit receives
-// each intermediate accuracy tier (Partial responses, coarse→target,
-// called sequentially on a worker goroutine before QueryStream returns),
-// and the returned Response is the terminal record — bit-identical to
-// what Query would have answered for the same request. Cache hits and
-// non-error-driven algorithms skip straight to the terminal record.
-func (s *Service) QueryStream(ctx context.Context, req Request, emit func(Response)) Response {
-	if emit == nil {
-		emit = func(Response) {}
-	}
-	resp := s.query(ctx, req, emit)
-	s.count(resp)
-	return resp
-}
-
-func (s *Service) count(resp Response) {
-	s.queries.Add(1)
-	if resp.CacheHit {
-		s.cacheHits.Add(1)
-	}
-	if resp.Err != nil {
-		s.errors.Add(1)
-	}
-}
-
-func (s *Service) query(ctx context.Context, req Request, emit func(Response)) Response {
-	// Reject before the cache lookup: a closed service answers nothing,
-	// not even cached results.
-	st := s.state.Load()
-	if s.Closed() {
-		return s.fail(st, req, ToError(ErrServiceClosed))
-	}
-	if err := s.normalizeRequest(&req, st); err != nil {
-		return s.fail(st, req, err)
-	}
-
-	// One pipeline: plan ("auto" only), look up the cache on the plan
-	// asked for, let the planner substitute a cheaper one, then cache,
-	// single-flight and execute under the plan that runs. The request is
-	// rewritten at each step, so every later stage keys on the plan in
-	// force and two alike-planned requests share one answer.
-	auto := req.Algorithm == AlgorithmAuto
-	in := plan.Input{Algorithm: req.Algorithm, Epsilon: req.Epsilon}
-	if auto {
-		in.Algorithm = ""
-		s.autoPlanned.Add(1)
-	}
-	asked := st.planner.Plan(in)
-	req.Algorithm = asked.Algorithm
-	ran := asked
-	var resp Response
-	// A cached answer to the plan asked for preempts substitution: a hit
-	// is cheaper than any degraded plan.
-	if res, ok := s.cached(st, req); ok {
-		resp = s.respond(st, req, res, true)
-	} else {
-		ran = s.substitute(ctx, st, req, in, asked)
-		req.Algorithm, req.Epsilon = ran.Algorithm, ran.Epsilon
-		resp = s.compute(ctx, st, req, emit)
-	}
-	return s.stampDegraded(st, resp, auto, asked, ran)
-}
-
-// cached looks req up in st's answers (never for NoCache requests).
-func (s *Service) cached(st *graphState, req Request) (*QueryResult, bool) {
-	if req.NoCache {
-		return nil, false
-	}
-	return st.answers.get(answerKey{algorithm: req.Algorithm, source: req.Source, epsilon: req.Epsilon})
-}
-
-// compute answers req under the plan that runs, through st's answer
-// memo: concurrent queries for the same cold key elect one leader to
-// compute; the rest wait on it (or their own context) instead of
-// duplicating the work across the pool — N clients asking for the same
-// cold key would otherwise saturate the pool with N copies of the same
-// expensive computation (cache stampede). NoCache requests bypass the
-// memo, both lookup and fill.
-func (s *Service) compute(ctx context.Context, st *graphState, req Request, emit func(Response)) Response {
-	if req.NoCache {
-		return s.dispatch(ctx, st, req, emit)
-	}
-	key := answerKey{algorithm: req.Algorithm, source: req.Source, epsilon: req.Epsilon}
-	if emit != nil {
-		// Streaming requests want the refinement sequence, which another
-		// leader's single answer cannot provide — they bypass the
-		// single-flight (the cache pre-check in query still
-		// short-circuits warm keys straight to the terminal record), and
-		// only fill the memo.
-		resp := s.dispatch(ctx, st, req, emit)
-		if complete(resp) {
-			st.answers.put(key, resp.Result)
-		}
-		return resp
-	}
-	for {
-		e, leader := st.answers.claim(key)
-		if leader {
-			resp := s.dispatch(ctx, st, req, nil)
-			st.answers.finish(e, resp.Result, complete(resp))
-			return resp
-		}
-		res, ok, err := e.wait(ctx)
-		if err != nil {
-			return s.fail(st, req, ToError(err))
-		}
-		if ok {
-			// A kept answer, or the leader's: a hit as far as this request
-			// is concerned.
-			return s.respond(st, req, res, true)
-		}
-		// The leader failed (its deadline, a build error) or answered
-		// Partial (its deadline is not ours): loop and retry, perhaps as
-		// leader.
-	}
-}
-
-// complete reports whether resp is an answer the memo may keep and share:
-// it succeeded and met its target accuracy. A Partial tier never enters
-// the memo.
-func complete(resp Response) bool {
-	return resp.Err == nil && !resp.Partial
-}
-
-// stampDegraded is the pipeline's one exit. An answer whose plan differs
-// from the one asked for, in method or in effective epsilon, is stamped
-// Degraded and — if it succeeded; a substitute that still failed
-// degraded nobody's accuracy — counted in degraded_queries. An "auto"
-// answer gets its Plan block, naming the plan that ran. Intermediate
-// stream records carry neither: the terminal record is the auditable
-// answer.
-func (s *Service) stampDegraded(st *graphState, resp Response, auto bool, asked, ran plan.Decision) Response {
-	eps := st.planner.Effective(ran.Epsilon)
-	if ran.Algorithm != asked.Algorithm || eps != st.planner.Effective(asked.Epsilon) {
-		resp.Degraded = true
-		if resp.Err == nil {
-			s.degradedQueries.Add(1)
-		}
-	}
-	if auto {
-		resp.Plan = &PlanInfo{Algorithm: ran.Algorithm, EffectiveEpsilon: eps, Reason: ran.Reason}
-	}
-	return resp
-}
-
-// normalizeRequest is the single request-validation point of the Service
-// boundary (Query, QueryStream, Batch and Warm all funnel through it):
-// defaults applied, then every field screened with a coded
-// invalid_argument/not_found before any dispatch — no per-algorithm
-// ad-hoc handling downstream.
-func (s *Service) normalizeRequest(req *Request, st *graphState) *Error {
-	if req.Algorithm == "" {
-		req.Algorithm = s.opts.DefaultAlgorithm
-	}
-	if req.Algorithm != AlgorithmAuto && !KnownAlgorithm(req.Algorithm) {
-		return Errorf(CodeNotFound,
-			"exactsim: unknown algorithm %q (have auto, %v)", req.Algorithm, Algorithms())
-	}
-	if req.K < 0 {
-		return Errorf(CodeInvalidArgument, "exactsim: negative k %d", req.K)
-	}
-	if req.Source < 0 || int(req.Source) >= st.g.N() {
-		return Errorf(CodeInvalidArgument,
-			"exactsim: source %d out of range [0,%d)", req.Source, st.g.N())
-	}
-	// Epsilon is part of the querier and cache keys, so screen it here:
-	// a NaN key would never match itself and leak a querier slot per
-	// request (0 is the "service default" sentinel).
-	if math.IsNaN(req.Epsilon) || math.IsInf(req.Epsilon, 0) ||
-		req.Epsilon < 0 || req.Epsilon >= 1 {
-		return Errorf(CodeInvalidArgument,
-			"exactsim: epsilon %g outside (0,1) (0 = service default)", req.Epsilon)
-	}
-	if _, ok := req.Priority.Rank(); !ok {
-		return Errorf(CodeInvalidArgument,
-			"exactsim: unknown priority %q (have %q, %q, %q)",
-			req.Priority, PriorityInteractive, PriorityBatch, PriorityBackground)
-	}
-	return nil
-}
-
-// dispatch queues one request on the worker pool and waits for its
-// response under ctx (tightened by DefaultTimeout). A request whose
-// budget is already spent — or that the overflowing queue sheds — is
-// answered immediately instead of occupying a slot; it never blocks
-// the submitter.
-func (s *Service) dispatch(ctx context.Context, st *graphState, req Request, emit func(Response)) Response {
-	if s.opts.DefaultTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.DefaultTimeout)
-		defer cancel()
-	}
-
-	// Expired-on-arrival rejection: a query that cannot meet its deadline
-	// must not cost a queue slot, let alone a worker.
-	if err := s.admit(ctx); err != nil {
-		return s.fail(st, req, err)
-	}
-
-	pri, _ := req.Priority.Rank() // validated in query()
-	_, hasDeadline := ctx.Deadline()
-	job := &serviceJob{ctx: ctx, st: st, req: req, resp: make(chan Response, 1), emit: emit,
-		pri: pri, enq: time.Now(), deadline: hasDeadline}
-	switch s.queue.push(job) {
-	case pushClosed:
-		return s.fail(st, req, ToError(ErrServiceClosed))
-	case pushShed:
-		return s.fail(st, req, s.shedError(req.Priority, dropShed))
-	}
-
-	if emit != nil || req.AllowPartial {
-		// Streaming and anytime requests wait for the worker
-		// unconditionally: the worker owns emit (returning early would
-		// race its writes) and a deadline firing mid-ladder must come
-		// back as the best-so-far answer, not as the submitter's
-		// ctx error. This cannot hang — every pushed job is answered
-		// exactly once (a worker executes it, dropJob ejects it, or the
-		// closing queue drains it), and the algorithms observe ctx
-		// internally, so a dead context still ends the wait promptly.
-		return <-job.resp
-	}
-	select {
-	case resp := <-job.resp:
-		return resp
-	case <-ctx.Done():
-		// The worker that picks the job up will see the dead context and
-		// drop it without computing.
-		return s.fail(st, req, ToError(ctx.Err()))
-	}
-}
-
-// admit applies the admission rule (Expired) to a job's context: at the
-// door, before the job costs a queue slot, and again when a worker pops
-// it, for budgets that died in the queue. Each deadline rejection counts
-// in deadline_rejected.
-func (s *Service) admit(ctx context.Context) *Error {
-	e := Expired(ctx)
-	if e != nil && e.Code == CodeDeadlineExceeded {
-		s.deadlineRejected.Add(1)
-	}
-	return e
-}
-
-// dropJob answers a job the queue ejected (overflow shed or CoDel age
-// drop). It runs on whichever goroutine triggered the drop; the response
-// channel is buffered, so the send never blocks even when the submitter
-// already gave up on its context.
-func (s *Service) dropJob(job *serviceJob, reason queueDropReason) {
-	job.resp <- s.fail(job.st, job.req, s.shedError(job.req.Priority, reason))
-}
-
-// shedError is the answer to a request the full queue turned away at the
-// door, or to a queued job it ejected: a retryable unavailable carrying
-// the retry_after_ms hint.
-func (s *Service) shedError(pri Priority, reason queueDropReason) *Error {
-	what := "shed: queue full"
-	if reason == dropCoDel {
-		what = "dropped: queue dwell over target (CoDel)"
-	}
-	return Errorf(CodeUnavailable, "exactsim: %s query %s", pri.display(), what).
-		WithRetryAfter(s.queue.retryAfter())
-}
-
-// Batch answers many requests concurrently through the worker pool and
-// returns responses in request order. Each response carries its own Err;
-// Batch itself only fails fast on a closed service or a dead context.
-// Submission is bounded by QueueDepth in-flight goroutines, and stops as
-// soon as ctx ends: the remaining requests are answered in place with the
-// context's error code instead of each paying a goroutine to discover it.
-// The bound is the queue's, not the pool's: a submitter receives its
-// answer, and frees its slot, before the worker that sent the answer is
-// back for the next job, so at times the queue alone holds every
-// submission in flight, and one more would be shed as "queue full".
-func (s *Service) Batch(ctx context.Context, reqs []Request) []Response {
-	out := make([]Response, len(reqs))
-	sem := make(chan struct{}, s.opts.QueueDepth)
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-		}
-		// Checked after the wait, so a dead context wins even when a slot
-		// was free too (select picks randomly among ready cases): an
-		// expired batch never submits more work to the pool. The tail is
-		// counted as if each request had gone through Query.
-		if err := ctx.Err(); err != nil {
-			epoch, cerr := s.state.Load().epoch, ToError(err)
-			for j := i; j < len(reqs); j++ {
-				out[j] = Response{Request: reqs[j], GraphEpoch: epoch, Err: cerr}
-				s.count(out[j])
-			}
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = s.Query(ctx, req)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// Fanout is the number of sources a warm pass over wr computes: its
-// Sources when it names any, otherwise TopDegree hubs, otherwise
-// defaultWarmTopDegree. Transports hold it against their batch bound.
-func (wr WarmRequest) Fanout() int {
-	switch {
-	case len(wr.Sources) > 0:
-		return len(wr.Sources)
-	case wr.TopDegree > 0:
-		return wr.TopDegree
-	}
-	return defaultWarmTopDegree
-}
-
-// Warm pre-computes the requested sources through the regular query path
-// (worker pool, cache fills, diagonal index fills) and reports how many
-// completed. Warming is cumulative and idempotent — already-cached sources
-// are hits, not recomputations — and an Update mid-warm simply leaves the
-// new epoch partially warmed (the warmed chunks of the old epoch are
-// unreachable by construction). Callers bound the work with ctx.
-func (s *Service) Warm(ctx context.Context, wr WarmRequest) WarmResponse {
-	st := s.state.Load()
-	if s.Closed() {
-		return WarmResponse{GraphEpoch: st.epoch, Err: ToError(ErrServiceClosed)}
-	}
-	if wr.TopDegree < 0 {
-		return WarmResponse{GraphEpoch: st.epoch, Err: Errorf(CodeInvalidArgument,
-			"exactsim: negative top_degree %d", wr.TopDegree)}
-	}
-	sources := wr.Sources
-	if len(sources) == 0 {
-		sources = topInDegreeSources(st.g, wr.Fanout())
-	}
-	reqs := make([]Request, len(sources))
-	for i, src := range sources {
-		// Warming is optional work by definition: it rides the background
-		// class so a warm pass can never crowd out user-facing queries.
-		reqs[i] = Request{Algorithm: wr.Algorithm, Source: src, Epsilon: wr.Epsilon,
-			Priority: PriorityBackground}
-	}
-	var out WarmResponse
-	for _, resp := range s.Batch(ctx, reqs) {
-		if resp.Err != nil {
-			out.Failed++
-		} else {
-			out.Warmed++
-		}
-	}
-	// Report the epoch current *after* the pass — queries run on whatever
-	// generation is live when they execute, so an Update mid-warm means
-	// the final epoch is the (partially) warmed one, not the epoch the
-	// hub selection saw.
-	out.GraphEpoch = s.state.Load().epoch
-	return out
-}
-
-// topInDegreeSources picks the k highest in-degree nodes (ties broken by
-// lower id, via the TopK ordering contract) — the cheap structural proxy
-// for high-π nodes.
-func topInDegreeSources(g *Graph, k int) []NodeID {
-	deg := make([]float64, g.N())
-	for v := range deg {
-		deg[v] = float64(g.InDegree(NodeID(v)))
-	}
-	entries := TopKOf(deg, k, -1)
-	sources := make([]NodeID, len(entries))
-	for i, e := range entries {
-		sources[i] = e.Idx
-	}
-	return sources
-}
-
-func (s *Service) worker() {
-	defer s.workers.Done()
-	for {
-		job, ok := s.queue.pop()
-		if !ok {
-			return
-		}
-		// A deadline that expired while the job queued is answered here,
-		// without computing: queued-but-expired work executing anyway is
-		// exactly the overload death spiral this layer exists to break.
-		if err := s.admit(job.ctx); err != nil {
-			job.resp <- s.fail(job.st, job.req, err)
-			continue
-		}
-		// The CPU goes back before the answer does, so a caller holding
-		// its answer never reads itself in in_flight.
-		s.lender.Hold()
-		resp := s.execute(job.ctx, job.st, job.req, job.emit)
-		s.lender.Release()
-		job.resp <- resp
-	}
-}
-
-// execute computes req along its accuracy ladder, coarse→target. An
-// error-driven algorithm asked to stream, or to allow a partial answer
-// under a deadline, refines along the planner's tiers; every other
-// request runs the one-rung ladder of its target. The last rung is
-// req.Epsilon verbatim, so the terminal answer — and the memo entry it
-// fills — is the same whatever the ladder. Intermediate rungs go to emit
-// as Partial records; a deadline firing mid-ladder ships the best
-// completed rung for AllowPartial requests and the plain coded error for
-// everyone else (the strict contract survives streaming).
-func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit func(Response)) (resp Response) {
-	// A panicking algorithm costs its request a CodeInternal response,
-	// not the process its life: the worker must survive to drain the
-	// queue, and a fleet replica must stay pollable so the router can
-	// keep routing around the poisoned query. The stack is captured into
-	// stats (panics_recovered / last_panic) and the process log.
-	defer func() {
-		if v := recover(); v != nil {
-			resp = s.fail(st, req, s.recordPanic("query", v))
-		}
-	}()
-	tiers := []float64{req.Epsilon}
-	if _, hasDeadline := ctx.Deadline(); (emit != nil || (req.AllowPartial && hasDeadline)) &&
-		plan.ErrorDriven(req.Algorithm) {
-		tiers = st.planner.Tiers(req.Epsilon)
-	}
-	var (
-		best     *QueryResult
-		bestTier float64       // the rung best was computed at
-		lastDur  time.Duration // how long that rung took
-	)
-	for i, tier := range tiers {
-		// Deadline checkpoint: before paying for a tighter rung, project
-		// its cost from the last rung's measured latency scaled by the
-		// cost model's growth ratio (×1.2 margin). A projection that
-		// overshoots the remaining budget ships best-so-far now instead
-		// of burning the remainder on work that cannot finish.
-		if best != nil && req.AllowPartial {
-			if dl, ok := ctx.Deadline(); ok {
-				need := time.Duration(1.2 * float64(lastDur) * st.planner.Growth(req.Algorithm, bestTier, tier))
-				if time.Until(dl) < need {
-					s.partialResults.Add(1)
-					return s.partial(st, req, best, bestTier)
-				}
-			}
-		}
-		res, dur, err := s.rung(ctx, st, req, tier)
-		if err != nil {
-			if best != nil && req.AllowPartial &&
-				(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-				s.partialResults.Add(1)
-				return s.partial(st, req, best, bestTier)
-			}
-			return s.fail(st, req, ToError(err))
-		}
-		best, bestTier, lastDur = res, tier, dur
-		if emit != nil && i < len(tiers)-1 {
-			emit(s.partial(st, req, res, tier))
-		}
-	}
-	return s.respond(st, req, best, false)
-}
-
-// rung computes req at one ladder epsilon and feeds the computation's
-// latency to the planner's correction.
-func (s *Service) rung(ctx context.Context, st *graphState, req Request, eps float64) (*QueryResult, time.Duration, error) {
-	q, err := s.querier(ctx, st, req.Algorithm, eps)
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	res, err := q.SingleSource(ctx, req.Source)
-	if err != nil {
-		return nil, 0, err
-	}
-	dur := time.Since(start)
-	st.planner.Observe(req.Algorithm, eps, dur)
-	return res, dur, nil
-}
-
-// partial is the answer of the rung completed at tier, short of req's
-// target: a success-shaped answer flagged Partial with the error bound it
-// actually met. It is both a stream's refinement record and, when a
-// deadline cuts the ladder, the anytime contract's alternative to
-// deadline_exceeded.
-func (s *Service) partial(st *graphState, req Request, res *QueryResult, tier float64) Response {
-	resp := s.respond(st, req, res, false)
-	resp.Partial = true
-	resp.AchievedEpsilon = st.planner.Effective(tier)
-	return resp
-}
-
-// recordPanic converts a recovered panic value into the CodeInternal
-// error the caller answers with, bumping the panics_recovered gauge and
-// keeping the headline in last_panic. The full stack goes to the process
-// log — it is operator material, too big (and too revealing) for a wire
-// gauge.
-func (s *Service) recordPanic(where string, v any) *Error {
-	s.panics.Add(1)
-	head := fmt.Sprintf("%s panic: %v", where, v)
-	s.lastPanic.Store(&head)
-	log.Printf("exactsim: recovered %s\n%s", head, debug.Stack())
-	return Errorf(CodeInternal, "exactsim: recovered %s", head)
-}
-
-func (s *Service) respond(st *graphState, req Request, res *QueryResult, hit bool) Response {
-	resp := Response{Request: req, Result: res, CacheHit: hit, GraphEpoch: st.epoch}
-	if req.K > 0 {
-		resp.TopK = TopKOf(res.Scores, req.K, req.Source)
-	}
-	return resp
-}
-
-func (s *Service) fail(st *graphState, req Request, err *Error) Response {
-	return Response{Request: req, GraphEpoch: st.epoch, Err: err}
-}
-
-// querier returns st's shared querier for (algorithm, ε). The first
-// request for a key leads its build, which runs under the service's
-// lifetime context — deliberately NOT the request's: a short per-request
-// deadline must not abort (and so force endless retries of) an index
-// build that later requests need. Every request waits on the build under
-// its own ctx, so a worker is released at its request's deadline even
-// while the build continues. A failed build is forgotten, so a later
-// request retries it.
-func (s *Service) querier(ctx context.Context, st *graphState, algorithm string, epsilon float64) (Querier, error) {
-	e, leader := st.queriers.claim(querierKey{algorithm: algorithm, epsilon: epsilon})
-	if leader {
-		go s.build(st, e)
-	}
-	b, _, err := e.wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return b.q, b.err
-}
-
-// build constructs the querier e's key names over st's graph and
-// finishes e, keeping it only when the build succeeded. Every querier of one
-// generation shares that generation's diagonal sample index: queriers
-// differing only in ε draw identical chunk streams, so one warm index
-// serves them all.
-func (s *Service) build(st *graphState, e *memoEntry[querierKey, built]) {
-	var b built
-	// The recover runs before finish, so the waiters of a panicked build
-	// see its CodeInternal error, and the key is forgotten so a later
-	// request can retry the build.
-	defer func() {
-		if v := recover(); v != nil {
-			b = built{err: s.recordPanic("querier build", v)}
-		}
-		st.queriers.finish(e, b, b.err == nil)
-	}()
-	opts := append([]QuerierOption(nil), s.opts.QuerierOptions...)
-	if e.key.epsilon != 0 {
-		opts = append(opts, WithEpsilon(e.key.epsilon))
-	}
-	if st.diagIdx != nil {
-		opts = append(opts, WithDiagIndex(st.diagIdx))
-	}
-	// ExactSim queriers borrow the workers' idle CPUs; the other
-	// algorithms never read the field.
-	opts = append(opts, func(cfg *algo.Config) { cfg.Lender = s.lender })
-	b.q, b.err = NewQuerierCtx(s.buildCtx, e.key.algorithm, st.g, opts...)
 }
 
 // Stats returns a snapshot of the service counters and gauges.

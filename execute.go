@@ -27,14 +27,14 @@ type built struct {
 	err error
 }
 
-// execute computes req along its accuracy ladder, coarse→target. An
-// error-driven algorithm asked to stream, or to allow a partial answer
-// under a deadline, refines along the planner's tiers; every other
-// request runs the one-rung ladder of its target. The last rung is
+// execute evaluates req coarse→target along the accuracy tier ladder.
+// Error-driven algorithms asked to stream, or to allow a partial answer
+// under a deadline, refine along the planner's tiers; every other
+// request runs the one-tier ladder of its target. The last tier is
 // req.Epsilon verbatim, so the terminal answer — and the memo entry it
-// fills — is the same whatever the ladder. Intermediate rungs go to emit
+// fills — is the same whatever the ladder. Intermediate tiers go to emit
 // as Partial records; a deadline firing mid-ladder ships the best
-// completed rung for AllowPartial requests and the plain coded error for
+// completed tier for AllowPartial requests and the plain coded error for
 // everyone else (the strict contract survives streaming).
 func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit func(Response)) (resp Response) {
 	// A panicking algorithm costs its request a CodeInternal response,
@@ -54,12 +54,12 @@ func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit
 	}
 	var (
 		best     *QueryResult
-		bestTier float64       // the rung best was computed at
-		lastDur  time.Duration // how long that rung took
+		bestTier float64       // the tier best was computed at
+		lastDur  time.Duration // how long that tier took
 	)
 	for i, tier := range tiers {
-		// Deadline checkpoint: before paying for a tighter rung, project
-		// its cost from the last rung's measured latency scaled by the
+		// Deadline checkpoint: before paying for a tighter tier, project
+		// its cost from the last tier's measured latency scaled by the
 		// cost model's growth ratio (×1.2 margin). A projection that
 		// overshoots the remaining budget ships best-so-far now instead
 		// of burning the remainder on work that cannot finish.
@@ -72,7 +72,12 @@ func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit
 				}
 			}
 		}
-		res, dur, err := s.rung(ctx, st, req, tier)
+		q, err := s.querier(ctx, st, req.Algorithm, tier)
+		start := time.Now()
+		var res *QueryResult
+		if err == nil {
+			res, err = q.SingleSource(ctx, req.Source)
+		}
 		if err != nil {
 			if best != nil && req.AllowPartial &&
 				(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
@@ -81,7 +86,9 @@ func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit
 			}
 			return s.fail(st, req, ToError(err))
 		}
-		best, bestTier, lastDur = res, tier, dur
+		lastDur = time.Since(start)
+		st.planner.Observe(req.Algorithm, tier, lastDur)
+		best, bestTier = res, tier
 		if emit != nil && i < len(tiers)-1 {
 			emit(s.partial(st, req, res, tier))
 		}
@@ -89,28 +96,10 @@ func (s *Service) execute(ctx context.Context, st *graphState, req Request, emit
 	return s.respond(st, req, best, false)
 }
 
-// rung computes req at one ladder epsilon and feeds the computation's
-// latency to the planner's correction.
-func (s *Service) rung(ctx context.Context, st *graphState, req Request, eps float64) (*QueryResult, time.Duration, error) {
-	q, err := s.querier(ctx, st, req.Algorithm, eps)
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	res, err := q.SingleSource(ctx, req.Source)
-	if err != nil {
-		return nil, 0, err
-	}
-	dur := time.Since(start)
-	st.planner.Observe(req.Algorithm, eps, dur)
-	return res, dur, nil
-}
-
-// partial is the answer of the rung completed at tier, short of req's
-// target: a success-shaped answer flagged Partial with the error bound it
-// actually met. It is both a stream's refinement record and, when a
-// deadline cuts the ladder, the anytime contract's alternative to
-// deadline_exceeded.
+// partial is the answer of the tier completed short of req's target: a
+// success-shaped answer flagged Partial with the error bound it actually
+// met. It is both a stream's refinement record and, when a deadline cuts
+// the ladder, the anytime contract's alternative to deadline_exceeded.
 func (s *Service) partial(st *graphState, req Request, res *QueryResult, tier float64) Response {
 	resp := s.respond(st, req, res, false)
 	resp.Partial = true

@@ -264,8 +264,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, err
 }
 
-// SaveBinary writes the container encoding to path atomically
-// (store.WriteFile), so a crash mid-write never leaves a half-snapshot
+// SaveBinary writes the container encoding to path atomically (temp
+// file + rename), so a crash mid-write never leaves a half-snapshot
 // where a loader could find it.
 func SaveBinary(path string, g *Graph) error {
 	return store.WriteFile(path, func(w io.Writer) error { return WriteBinary(w, g) }, nil)

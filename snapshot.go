@@ -98,9 +98,9 @@ func writeSnapshot(w io.Writer, g *Graph, ix *DiagSampleIndex) error {
 	return sw.Close()
 }
 
-// SaveSnapshot writes a service snapshot to path atomically
-// (store.WriteFile): a crash mid-write can never leave a half-container
-// where the next boot's -snapshot flag would find it.
+// SaveSnapshot writes a service snapshot to path atomically (temp file
+// + rename): a crash mid-write can never leave a half-container where
+// the next boot's -snapshot flag would find it.
 func (s *Service) SaveSnapshot(path string) error {
 	return s.SaveSnapshotKeep(path, 0)
 }

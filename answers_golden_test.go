@@ -14,11 +14,14 @@ import (
 )
 
 // answersGoldenPath pins whole answers of every method whose diagonal
-// phase runs on diag.BatchCtx: one FNV-64 over each score vector's
-// Float64bits. The table was recorded before the diagonal kernel's walk
-// and exploration loops were rewritten, and it must pass unchanged against
-// any later kernel, so it is never regenerated: a kernel change that moves
-// any bit of any answer fails here.
+// phase runs on diag.BatchCtx, and of ParSim, whose answer is the forward
+// propagation kernel (linalg.Operator.ApplyPSparse through ppr.HopsCtx)
+// and a backward sweep with no sampling at all: one FNV-64 over each score
+// vector's Float64bits. The table was recorded before the diagonal
+// kernel's walk and exploration loops were rewritten, and its ParSim rows
+// before the propagation kernel gained its dense gather. It must pass
+// unchanged against any later kernel, so it is never regenerated: a kernel
+// change that moves any bit of any answer fails here.
 const answersGoldenPath = "testdata/answers_golden.txt"
 
 // answersGoldenRows returns one "method workers index source hash" row per
@@ -26,7 +29,9 @@ const answersGoldenPath = "testdata/answers_golden.txt"
 // with and without a SampleIndex (an index quantizes sample counts, so its
 // answers differ from an index-free run's, but never across workers or
 // cache states); Linearization estimates D for every node with Algorithm 2
-// and PRSim estimates its hubs' D with Algorithm 3.
+// and PRSim estimates its hubs' D with Algorithm 3. PRSim's and ParSim's
+// forward levels are dense on this graph, so their rows pin the
+// propagation kernel's dense path too.
 func answersGoldenRows(t *testing.T) []string {
 	g := exactsim.GenerateBarabasiAlbert(1200, 4, 7)
 	sources := []exactsim.NodeID{0, 37, 1111}
@@ -60,6 +65,7 @@ func answersGoldenRows(t *testing.T) []string {
 	}
 	run("linearization", 2, nil)
 	run("prsim", 2, nil)
+	run("parsim", 2, nil)
 	return rows
 }
 

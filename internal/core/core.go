@@ -431,7 +431,7 @@ func (e *Engine) singleSourceOptimized(ctx context.Context, source graph.NodeID)
 	if err != nil {
 		return nil, err
 	}
-	piVec := ppr.Sum(hops, n)
+	piVec := ppr.Sum(e.op, hops)
 	piNorm2 := piVec.Norm2Squared()
 	res.PiNorm2 = piNorm2
 	res.ForwardTime = since(t0)

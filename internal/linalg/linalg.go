@@ -20,9 +20,25 @@
 // that depend only on the input size (never on Workers) and merge the
 // per-shard partial accumulators in shard order, which pins the
 // floating-point addition order.
+//
+// ApplyPSparse has two kernels behind that contract. While its input has
+// at most n/16 nonzeros it scatters each nonzero over its column's
+// in-neighbors, as above. Past that (the rule reads the input alone) it
+// gathers: it folds w(v) = x(v)·(1/d_in(v))·scale into a dense scratch
+// once, then sums w over each row u's out-list, in ascending v. The
+// scatter delivers u's terms in the same order — x.Idx ascends, and the
+// terms of one shard land in that shard's partial — and merges the
+// partials in shard order. So the gather keeps one running partial per
+// row, adds it into the row's total each time v reaches the next shard's
+// first input index, and rounds exactly like the scatter: the bits are
+// the same, for the nonnegative inputs and thresholds every caller
+// passes (a term of zero, which the scatter skips, leaves a nonnegative
+// sum's bits as they are). Each row of the gather is computed on its own,
+// so its rows split across workers freely.
 package linalg
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +56,14 @@ const (
 	maxSparseShards = 8
 	sparseShardMin  = 512
 )
+
+// gatherFrom is the divisor of ApplyPSparse's kernel rule: an input with
+// more than n/gatherFrom nonzeros is gathered rather than scattered. On
+// the DB stand-in the exact forward pass of PRSim and ParSim gathers from
+// the product that builds level 5, 6 or 7 on, and its levels then fill
+// the graph; ExactSim's θ-truncated levels at ε = 0.02 stay below 60
+// entries.
+const gatherFrom = 16
 
 // sparseShards returns the shard count for an input with nnz nonzeros.
 func sparseShards(nnz int) int {
@@ -62,7 +86,7 @@ func shardBounds(nnz, shards, s int) (lo, hi int) {
 }
 
 // Operator applies P and Pᵀ for one graph. It is immutable after creation
-// (the accumulator pool is internally synchronized) and safe for concurrent
+// (its scratch pools are internally synchronized) and safe for concurrent
 // use; per-call scratch is owned by the caller.
 type Operator struct {
 	g       *graph.Graph
@@ -73,6 +97,15 @@ type Operator struct {
 	// kernels (and is exported via GetAccumulator for callers that want
 	// per-query scratch without per-query allocation).
 	accPool sync.Pool
+	// gatherPool recycles ApplyPSparse's gather scratch.
+	gatherPool sync.Pool
+}
+
+// gatherScratch is the dense scratch of one gather: w holds the folded
+// input and is all zero between uses; row is overwritten whole by every
+// use.
+type gatherScratch struct {
+	w, row []float64
 }
 
 // NewOperator builds an operator over g. workers ≤ 1 selects serial
@@ -210,10 +243,19 @@ func (op *Operator) runShards(shards int, acc *sparse.Accumulator, process func(
 
 // ApplyPSparse computes scale·P·x for a sparse x, truncating result entries
 // ≤ threshold (pass 0 to keep all). acc is caller-owned scratch sized to n.
-// Large inputs are sharded over nonzeros across the configured workers; see
-// the package comment for why the result does not depend on the worker
-// count.
+// An input with more than n/16 nonzeros is gathered row by row; a smaller
+// one is scattered, sharded over its nonzeros across the configured
+// workers. See the package comment for why both kernels give the same
+// bits, at any worker count.
 func (op *Operator) ApplyPSparse(x *sparse.Vector, acc *sparse.Accumulator, scale, threshold float64) sparse.Vector {
+	if x.Len() > op.g.N()/gatherFrom {
+		return op.gatherP(x, scale, threshold)
+	}
+	return op.scatterP(x, acc, scale, threshold)
+}
+
+// scatterP is ApplyPSparse's scatter kernel.
+func (op *Operator) scatterP(x *sparse.Vector, acc *sparse.Accumulator, scale, threshold float64) sparse.Vector {
 	inOff, inAdj := op.g.InCSR()
 	nnz := x.Len()
 	shards := sparseShards(nnz)
@@ -240,8 +282,53 @@ func (op *Operator) ApplyPSparse(x *sparse.Vector, acc *sparse.Accumulator, scal
 	return acc.Build(threshold)
 }
 
+// gatherP is ApplyPSparse's gather kernel; the package comment says why
+// its bits are scatterP's.
+func (op *Operator) gatherP(x *sparse.Vector, scale, threshold float64) sparse.Vector {
+	n := op.g.N()
+	sc, ok := op.gatherPool.Get().(*gatherScratch)
+	if !ok {
+		sc = &gatherScratch{w: make([]float64, n), row: make([]float64, n)}
+	}
+	w, row := sc.w, sc.row
+	for i, v := range x.Idx {
+		w[v] = x.Val[i] * op.invDin[v] * scale
+	}
+	// next[s] is the first input index of shard s+1; the last entry is a
+	// sentinel no node id reaches.
+	nnz := x.Len()
+	shards := sparseShards(nnz)
+	var next [maxSparseShards]int32
+	for s := 1; s < shards; s++ {
+		lo, _ := shardBounds(nnz, shards, s)
+		next[s-1] = x.Idx[lo]
+	}
+	next[shards-1] = math.MaxInt32
+	outOff, outAdj := op.g.OutCSR()
+	op.shard(n, func(lo, hi int32) {
+		for u := lo; u < hi; u++ {
+			total, part, s := 0.0, 0.0, 0
+			for _, v := range outAdj[outOff[u]:outOff[u+1]] {
+				for v >= next[s] {
+					total += part
+					part = 0
+					s++
+				}
+				part += w[v]
+			}
+			row[u] = total + part
+		}
+	})
+	for _, v := range x.Idx {
+		w[v] = 0
+	}
+	out := sparse.FromDense(row, threshold)
+	op.gatherPool.Put(sc)
+	return out
+}
+
 // ApplyPTSparse computes scale·Pᵀ·x for a sparse x with truncation, sharded
-// like ApplyPSparse.
+// like ApplyPSparse's scatter.
 func (op *Operator) ApplyPTSparse(x *sparse.Vector, acc *sparse.Accumulator, scale, threshold float64) sparse.Vector {
 	outOff, outAdj := op.g.OutCSR()
 	nnz := x.Len()

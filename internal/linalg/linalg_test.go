@@ -2,6 +2,8 @@ package linalg
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/exactsim/exactsim/internal/gen"
@@ -205,6 +207,83 @@ func TestSparseParallelBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGatherScatterBitIdentical runs ApplyPSparse's two kernels on the same
+// inputs and requires the same indices and Float64bits: inputs of one, two
+// and eight scatter shards, the thresholds of ParSim (1e-15), of PRSim and
+// the exact pass (0) and of ExactSim at ε = 0.01 ((1−√c)²·ε′), operators of
+// one and eight workers, and a graph with in-degree-0 nodes and nodes with
+// no out-edges in every input's support. The operators live across the
+// inputs, densest first, so the gather reuses its pooled scratch and a fold
+// left in it would show as a moved bit; at the end one operator gathers
+// every input from its own goroutine at once.
+func TestGatherScatterBitIdentical(t *testing.T) {
+	r := rng.New(17)
+	const n, m = 6000, 48000
+	b := graph.NewBuilder(n).Reserve(m)
+	for b.Len() < m {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
+		if v < 100 || (u >= 100 && u < 200) {
+			continue // nodes 0–99 have no in-edges, 100–199 no out-edges
+		}
+		b.AddEdge(u, v)
+	}
+	g := b.Build()
+	sqrtC := math.Sqrt(0.6)
+	thresholds := []float64{0, 1e-15, (1 - sqrtC) * (1 - sqrtC) * 0.005}
+	ops := []*Operator{NewOperator(g, 1), NewOperator(g, 8)}
+	acc := sparse.NewAccumulator(n)
+	var inputs, exact []sparse.Vector
+	for _, nnz := range []int{5000, 700, 1200} { // 8, 1 and 2 shards
+		// An in-degree-0 node and one with no out-edges, then nnz more.
+		x := sparse.Vector{Idx: []int32{0, 150}}
+		for _, i := range r.Perm(n)[:nnz] {
+			x.Idx = append(x.Idx, int32(i))
+		}
+		slices.Sort(x.Idx)
+		x.Idx = slices.Compact(x.Idx)
+		for range x.Idx {
+			// Values over six decades, and a few zeros, so sums fall on
+			// both sides of every threshold.
+			val := r.Float64() * math.Pow(10, -float64(r.Intn(6)))
+			if r.Intn(50) == 0 {
+				val = 0
+			}
+			x.Val = append(x.Val, val)
+		}
+		for _, op := range ops {
+			var kept []int
+			for _, th := range thresholds {
+				want := op.scatterP(&x, acc, sqrtC, th)
+				got := op.gatherP(&x, sqrtC, th)
+				if !vectorsBitEqual(&want, &got) {
+					t.Fatalf("nnz=%d shards=%d workers=%d threshold=%g: gather (%d entries) not bit-identical to scatter (%d entries)",
+						x.Len(), sparseShards(x.Len()), op.Workers(), th, got.Len(), want.Len())
+				}
+				kept = append(kept, got.Len())
+			}
+			if kept[0] == 0 || kept[2] >= kept[0] {
+				t.Fatalf("nnz=%d workers=%d: kept %v entries at thresholds %v; want some, and fewer at the largest", x.Len(), op.Workers(), kept, thresholds)
+			}
+		}
+		inputs = append(inputs, x)
+		exact = append(exact, ops[0].scatterP(&x, acc, sqrtC, 0))
+	}
+	var wg sync.WaitGroup
+	for i := range inputs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				if got := ops[1].gatherP(&inputs[i], sqrtC, 0); !vectorsBitEqual(&exact[i], &got) {
+					t.Errorf("input %d: concurrent gather not bit-identical to scatter", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func sortVector(v *sparse.Vector) {

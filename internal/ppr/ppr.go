@@ -52,8 +52,8 @@ func Hops(op *linalg.Operator, source graph.NodeID, cfg Config) []sparse.Vector 
 // HopsCtx is Hops with per-level cancellation: the context is checked
 // before every application of √c·P, so a deadline interrupts the forward
 // phase after at most one level's worth of work. Scratch comes from the
-// operator's accumulator pool, so a sustained query load does not allocate
-// O(n) per forward phase.
+// operator's pools, so a sustained query load does not allocate O(n) per
+// forward phase beyond the levels it returns.
 func HopsCtx(ctx context.Context, op *linalg.Operator, source graph.NodeID, cfg Config) ([]sparse.Vector, error) {
 	sqrtC := math.Sqrt(cfg.C)
 	acc := op.GetAccumulator()
@@ -108,8 +108,10 @@ func HopsDenseCtx(ctx context.Context, op *linalg.Operator, source graph.NodeID,
 }
 
 // Sum aggregates hop vectors into the full PPR vector π_i = Σ_ℓ π_i^ℓ.
-func Sum(hops []sparse.Vector, n int) sparse.Vector {
-	acc := sparse.NewAccumulator(n)
+// Its scratch comes from the operator's accumulator pool.
+func Sum(op *linalg.Operator, hops []sparse.Vector) sparse.Vector {
+	acc := op.GetAccumulator()
+	defer op.PutAccumulator(acc)
 	for i := range hops {
 		h := &hops[i]
 		for j, idx := range h.Idx {

@@ -141,7 +141,7 @@ func TestSumAggregates(t *testing.T) {
 	g := gen.Clique(6)
 	op := linalg.NewOperator(g, 1)
 	hops := Hops(op, 0, Config{C: c, L: 15})
-	pi := Sum(hops, g.N())
+	pi := Sum(op, hops)
 	total := pi.Sum()
 	want := 1 - math.Pow(math.Sqrt(c), 16)
 	if math.Abs(total-want) > 1e-12 {

@@ -129,12 +129,14 @@ func BuildCtx(ctx context.Context, g *graph.Graph, p Params) (*Index, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// Each ApplyPTSparse builds a fresh vector of exact capacity, so
+		// levels are retained as they are.
 		levels := make([]sparse.Vector, 0, L+1)
 		cur := sparse.Vector{Idx: []int32{k}, Val: []float64{1 - sqrtC}}
-		levels = append(levels, cur.Clone())
+		levels = append(levels, cur)
 		for ell := 1; ell <= L; ell++ {
 			cur = op.ApplyPTSparse(&cur, acc, sqrtC, threshold)
-			levels = append(levels, cur.Clone())
+			levels = append(levels, cur)
 			if cur.Len() == 0 {
 				break
 			}

@@ -133,6 +133,45 @@ func TestAccumulator(t *testing.T) {
 	}
 }
 
+// TestAccumulatorBuildThreshold: Build keeps exactly the entries above the
+// threshold, sorted, in slices of exact capacity, and the next build sees
+// neither a dropped nor a kept entry's mark or value.
+func TestAccumulatorBuildThreshold(t *testing.T) {
+	a := NewAccumulator(16)
+	for _, e := range []struct {
+		i int32
+		v float64
+	}{{9, 0.5}, {3, 0.25}, {12, 0.1}, {1, 0.3}, {7, 0.125}, {3, 0}, {12, 0.2}} {
+		a.Add(e.i, e.v)
+	}
+	v := a.Build(0.25) // 3 sits at the threshold, 7 below it
+	sum12 := 0.1
+	sum12 += 0.2 // rounded as the accumulator rounds it
+	if !reflect.DeepEqual(v.Idx, []int32{1, 9, 12}) || !reflect.DeepEqual(v.Val, []float64{0.3, 0.5, sum12}) {
+		t.Fatalf("Build(0.25) = %v %v", v.Idx, v.Val)
+	}
+	if cap(v.Idx) != len(v.Idx) || cap(v.Val) != len(v.Val) {
+		t.Fatalf("capacities %d, %d for %d entries", cap(v.Idx), cap(v.Val), v.Len())
+	}
+	for i := int32(0); i < 16; i++ {
+		if a.Get(i) != 0 {
+			t.Fatalf("value %g left at %d", a.Get(i), i)
+		}
+	}
+	a.Add(7, 0.5) // dropped last time
+	a.Add(9, 1)   // kept last time
+	if a.Touched() != 2 {
+		t.Fatalf("Touched=%d after two fresh adds: a mark was left", a.Touched())
+	}
+	v = a.Build(0)
+	if !reflect.DeepEqual(v.Idx, []int32{7, 9}) || !reflect.DeepEqual(v.Val, []float64{0.5, 1}) {
+		t.Fatalf("next Build(0) = %v %v", v.Idx, v.Val)
+	}
+	if v = a.Build(0); v.Len() != 0 || cap(v.Idx) != 0 {
+		t.Fatalf("empty Build = %v (cap %d)", v.Idx, cap(v.Idx))
+	}
+}
+
 func TestAccumulatorReset(t *testing.T) {
 	a := NewAccumulator(4)
 	a.Add(3, 1)
